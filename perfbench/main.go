@@ -40,7 +40,7 @@ const (
 	// setupRepeats is how many times a run builds the workload's
 	// networks and injectors to time set-up (a paper-scale Build takes
 	// only tens of milliseconds, so one sample is noise).
-	setupRepeats = 9
+	setupRepeats = 25
 	// injSeedMix derives an injector seed from its network seed, as the
 	// sim package does.
 	injSeedMix = 0x9E3779B97F4A7C15
@@ -311,9 +311,9 @@ func publicCall(s spec, in inputs) (call, []cbar.SteadyResult, error) {
 	return c, rs, err
 }
 
-// endToEndRun measures the workload untraced: set-up, then entry calls
-// repeated until the next one would overrun the time budget (at least
-// one), every call checked.
+// endToEndRun measures the workload untraced: set-up, one warm-up entry
+// call (checked, not timed), then entry calls repeated until the next
+// one would overrun the time budget (at least one), every call checked.
 func endToEndRun(s spec, in inputs, seconds float64) (*runRecord, error) {
 	rec, err := newRecord(s, in, false)
 	if err != nil {
@@ -322,8 +322,10 @@ func endToEndRun(s spec, in inputs, seconds float64) (*runRecord, error) {
 	if rec.SetupS, _, _, err = setup(s, in); err != nil {
 		return nil, err
 	}
-	var walls []float64
 	start := time.Now()
+	_, rs, err := publicCall(s, in)
+	rec.check(s, rs, err)
+	var walls []float64
 	for {
 		c, rs, err := publicCall(s, in)
 		rec.check(s, rs, err)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the benchmark from source and runs it with the given arguments:
 #
-#   bash perfbench/run.sh --workload paper_un_base --seed 1 --seconds 30 --trace 0
+#   bash perfbench/run.sh --workload paper_un_base --seed 1 --seconds 55 --trace 0
 #
 # Run from the repository root. Every build artefact (Go build cache,
 # temporary files, the binary, traces) stays under .bench_build.

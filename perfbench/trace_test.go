@@ -127,6 +127,9 @@ func TestInputsDependOnSeedOnly(t *testing.T) {
 		if nominal := s.loads[i]; l < nominal*0.995 || l > nominal*1.005 {
 			t.Errorf("load %v strays more than 0.5%% from nominal %v", l, nominal)
 		}
+		if s.loads[i] == s.pinned && l != s.pinned {
+			t.Errorf("pinned load %v jittered to %v", s.pinned, l)
+		}
 	}
 }
 
