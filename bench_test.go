@@ -245,7 +245,7 @@ func BenchmarkFig10b_ThresholdADV(b *testing.B) {
 // counter approaches the mean VC count per port.
 func BenchmarkVIA_CounterSaturation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := RunExperiment("via", Tiny, 1, io.Discard); err != nil {
+		if err := RunExperiment("via", Tiny, ExperimentOptions{Seeds: 1}, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

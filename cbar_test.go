@@ -303,7 +303,7 @@ func TestExperimentRegistry(t *testing.T) {
 	if _, err := ExperimentTitle("fig99"); err == nil {
 		t.Fatal("unknown title accepted")
 	}
-	if err := RunExperiment("fig99", Tiny, 1, nil); err == nil {
+	if err := RunExperiment("fig99", Tiny, ExperimentOptions{Seeds: 1}, nil); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -311,7 +311,7 @@ func TestExperimentRegistry(t *testing.T) {
 func TestRunExperimentVIA(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	if err := RunExperiment("via", Tiny, 1, &buf); err != nil {
+	if err := RunExperiment("via", Tiny, ExperimentOptions{Seeds: 1}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

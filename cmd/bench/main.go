@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"cbar/internal/rng"
+	"cbar/internal/router"
 	"cbar/internal/routing"
 	"cbar/internal/sim"
 )
@@ -86,21 +87,12 @@ func effectiveBenchtime(flagValue string) string {
 	return flagValue
 }
 
-// stepBench returns a benchmark function measuring one injected cycle,
-// using the same shared harness as the in-tree BenchmarkStep* suite.
-// fullScan selects the every-component fabric loop; refScan the
-// full-recompute reference algorithm state (polled PB saturation flags,
-// combine-every-group ECtN).
-func stepBench(s sim.Scale, algo routing.Algo, load float64, fullScan, refScan bool) func(b *testing.B) {
-	return stepBenchWorkload(s, algo, sim.UN(), load, fullScan, refScan)
-}
-
-// stepBenchWorkload is stepBench for an arbitrary workload — the bursty
-// and hotspot entries pin the stateful calendar injector's cycle cost
-// beside the Bernoulli fast path.
-func stepBenchWorkload(s sim.Scale, algo routing.Algo, w sim.Workload, load float64, fullScan, refScan bool) func(b *testing.B) {
+// stepRun returns a benchmark function measuring one injected cycle of
+// config c under workload w, using the same shared harness
+// (sim.NewStepBench) as the in-tree BenchmarkStep* suite.
+func stepRun(c sim.Config, w sim.Workload, load float64, fullScan bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		net, inj, err := sim.NewStepBenchWorkload(s, algo, w, load, fullScan, refScan)
+		net, inj, err := sim.NewStepBench(c, w, load, fullScan)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,6 +111,23 @@ func stepBenchWorkload(s sim.Scale, algo routing.Algo, w sim.Workload, load floa
 	}
 }
 
+// stepBench measures the step under uniform traffic. fullScan selects
+// the every-component fabric loop; refScan the full-recompute reference
+// algorithm state (polled PB saturation flags, combine-every-group
+// ECtN).
+func stepBench(s sim.Scale, algo routing.Algo, load float64, fullScan, refScan bool) func(b *testing.B) {
+	c := sim.NewConfig(s.Params(), algo)
+	c.Opts.ReferenceScan = refScan
+	return stepRun(c, sim.UN(), load, fullScan)
+}
+
+// stepBenchWorkload is stepBench for an arbitrary workload — the bursty
+// and hotspot entries pin the stateful calendar injector's cycle cost
+// beside the Bernoulli fast path.
+func stepBenchWorkload(s sim.Scale, algo routing.Algo, w sim.Workload, load float64) func(b *testing.B) {
+	return stepRun(sim.NewConfig(s.Params(), algo), w, load, false)
+}
+
 // stepBenchElideIdle measures the quiet-cycle elision path: one op
 // advances sim.ElideIdleSpan cycles of a deep-idle network through
 // sim.Advance, which jumps the clock between events instead of
@@ -127,7 +136,7 @@ func stepBenchWorkload(s sim.Scale, algo routing.Algo, w sim.Workload, load floa
 // acceptance bar of the elision change is >= 10x their cycles/sec.
 func stepBenchElideIdle(s sim.Scale) func(b *testing.B) {
 	return func(b *testing.B) {
-		net, inj, err := sim.NewStepBench(s, routing.Base, sim.ElideIdleLoad, false, false)
+		net, inj, err := sim.NewStepBench(sim.NewConfig(s.Params(), routing.Base), sim.UN(), sim.ElideIdleLoad, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,25 +156,16 @@ func stepBenchElideIdle(s sim.Scale) func(b *testing.B) {
 }
 
 // stepBenchFaults measures the injected cycle under a quiescent fault
-// plan (see sim.NewStepBenchFaults): the fault engine is live but never
-// fires, so the entry pins its hot-path overhead against StepSmallIdle.
+// plan: one LinkDown scheduled far past any benchmark horizon, so the
+// fault engine is allocated and its per-cycle pending check runs, but
+// no event ever fires. Pinned beside StepSmallIdle, the delta is the
+// fault layer's hot-path overhead — which must stay ~zero.
 func stepBenchFaults(s sim.Scale, algo routing.Algo, load float64) func(b *testing.B) {
-	return func(b *testing.B) {
-		net, inj, err := sim.NewStepBenchFaults(s, algo, load)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen0 := net.NumGenerated
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inj.Cycle()
-			net.Step()
-		}
-		if b.N > 1000 && net.NumGenerated == gen0 {
-			b.Fatal("no traffic generated during measurement")
-		}
-	}
+	c := sim.NewConfig(s.Params(), algo)
+	c.Router.Faults = router.FaultConfig{Events: []router.FaultEvent{
+		{Kind: router.LinkDown, Router: 0, Port: int16(s.Params().P), Cycle: 1 << 40},
+	}}
+	return stepRun(c, sim.UN(), load, false)
 }
 
 // stepBenchWorkers measures the same injected cycle with the network
@@ -173,22 +173,9 @@ func stepBenchFaults(s sim.Scale, algo routing.Algo, load float64) func(b *testi
 // the sequential stepper's, so the delta against a Workers1 entry is
 // pure parallel speedup minus barrier cost.
 func stepBenchWorkers(s sim.Scale, load float64, workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		net, inj, err := sim.NewStepBenchWorkers(s, routing.Base, sim.UN(), load, false, false, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gen0 := net.NumGenerated
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inj.Cycle()
-			net.Step()
-		}
-		if b.N > 1000 && net.NumGenerated == gen0 {
-			b.Fatal("no traffic generated during measurement")
-		}
-	}
+	c := sim.NewConfig(s.Params(), routing.Base)
+	c.Router.Workers = workers
+	return stepRun(c, sim.UN(), load, false)
 }
 
 // burstDrainBench measures a burst followed by a full drain, reporting
@@ -326,7 +313,7 @@ func compareBaseline(path string, fresh Report, nsWarnOnly bool) int {
 
 func endToEnd(cycles int64) (EndToEnd, error) {
 	const load = 0.3
-	net, inj, err := sim.NewStepBench(sim.Small, routing.Base, load, false, false)
+	net, inj, err := sim.NewStepBench(sim.NewConfig(sim.Small.Params(), routing.Base), sim.UN(), load, false)
 	if err != nil {
 		return EndToEnd{}, err
 	}
@@ -405,10 +392,10 @@ func main() {
 		// injector beside the Bernoulli skip-sampler: same scale, same
 		// load, different arrival process — the delta is the cost of
 		// per-node source state.
-		{"StepSmallBurstyIdle", 0, stepBenchWorkload(sim.Small, routing.Base, sim.UN().WithBurst(50, 150, 0), 0.01, false, false)},
-		{"StepSmallHotspotIdle", 0, stepBenchWorkload(sim.Small, routing.Base, sim.HotspotUN(0.2, 8), 0.01, false, false)},
+		{"StepSmallBurstyIdle", 0, stepBenchWorkload(sim.Small, routing.Base, sim.UN().WithBurst(50, 150, 0), 0.01)},
+		{"StepSmallHotspotIdle", 0, stepBenchWorkload(sim.Small, routing.Base, sim.HotspotUN(0.2, 8), 0.01)},
 		{"StepPaperIdle", 0, stepBench(sim.Paper, routing.Base, 0.01, false, false)},
-		{"StepPaperBurstyIdle", 0, stepBenchWorkload(sim.Paper, routing.Base, sim.UN().WithBurst(50, 150, 0), 0.01, false, false)},
+		{"StepPaperBurstyIdle", 0, stepBenchWorkload(sim.Paper, routing.Base, sim.UN().WithBurst(50, 150, 0), 0.01)},
 		{"StepPaperPBIdle", 0, stepBench(sim.Paper, routing.PB, 0.01, false, false)},
 		{"StepPaperPBRefScanIdle", 0, stepBench(sim.Paper, routing.PB, 0.01, false, true)},
 		{"StepPaperECtNIdle", 0, stepBench(sim.Paper, routing.ECtN, 0.01, false, false)},

@@ -86,13 +86,13 @@ func main() {
 			Congestion: cong, Faults: faults, Ctx: ctx,
 		}
 		if *outDir == "" {
-			dieOrInterrupt(cbar.RunExperimentOpts(id, scale, opt, os.Stdout))
+			dieOrInterrupt(cbar.RunExperiment(id, scale, opt, os.Stdout))
 		} else {
 			die(os.MkdirAll(*outDir, 0o755))
 			path := filepath.Join(*outDir, fmt.Sprintf("%s_%s.csv", id, scale))
 			f, err := os.Create(path)
 			die(err)
-			err = cbar.RunExperimentOpts(id, scale, opt, f)
+			err = cbar.RunExperiment(id, scale, opt, f)
 			cerr := f.Close()
 			dieOrInterrupt(err)
 			die(cerr)

@@ -26,7 +26,15 @@
 // parallel) and [RunTransient] (traced response to a traffic-pattern
 // switch). [RunExperiment] regenerates any of the paper's tables and
 // figures by ID ([ExperimentIDs] enumerates them; cmd/figures is the
-// CLI front end). README.md collects the CLI surface and the
+// CLI front end); its one [ExperimentOptions] argument overrides parts
+// of the scale's default budget, and the zero value keeps them all:
+//
+//	err := cbar.RunExperiment("fig5a", cbar.Small, cbar.ExperimentOptions{Seeds: 3}, os.Stdout)
+//
+// [SteadyResult] and [TransientResult] are aliases of the simulation
+// layer's result types (package cbar/internal/sim), which carry the
+// per-field documentation; README.md's "Result fields" section lists
+// every field. README.md also collects the CLI surface and the
 // workload/congestion/fault spec grammars in one place.
 //
 // All simulations are deterministic for a fixed configuration and seed;

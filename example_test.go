@@ -66,7 +66,7 @@ func Example_transient() {
 // ExampleRunExperiment regenerates a paper artifact (here the §VI-A
 // counter analysis) as CSV.
 func ExampleRunExperiment() {
-	err := cbar.RunExperiment("via", cbar.Tiny, 1, os.Stdout)
+	err := cbar.RunExperiment("via", cbar.Tiny, cbar.ExperimentOptions{Seeds: 1}, os.Stdout)
 	if err != nil {
 		log.Fatal(err)
 	}

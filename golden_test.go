@@ -83,3 +83,51 @@ func TestGoldenSweeps(t *testing.T) {
 		})
 	}
 }
+
+// The resilience golden pins the adaptive engine with the congestion
+// and fault layers on, through the public sweep path. Regenerate with:
+//
+//	go run ./cmd/sweep -scale tiny -routing base,ectn,pb -traffic un \
+//	    -loads 0.2,0.6 -warmup 300 -measure 300 -seeds 2 -workers 1 \
+//	    -adaptive -congestion on -faults random:5%@0+retry:3 \
+//	    > testdata/golden/sweep_tiny_resilience.csv
+func TestGoldenResilienceSweep(t *testing.T) {
+	t.Parallel()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "sweep_tiny_resilience.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cong, err := ParseCongestion("on")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, err := ParseFaults("random:5%@0+retry:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# %s traffic on %s scale\n", Uniform().Name(), Tiny)
+	sb.WriteString("load,algo,avg_latency_cycles,p99_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac,overflow_frac" +
+		",ci_half_latency,measured_cycles,warmup_cycles,saturated,converged" +
+		",marked,notified,throttled,shed,dropped,retried,unroutable\n")
+	opt := SteadyOptions{Warmup: 300, Measure: 300, Seeds: 2, Adaptive: true}
+	for _, a := range []Algorithm{Base, ECtN, PB} {
+		cfg := NewConfig(Tiny, a)
+		cfg.Workers = 1
+		cfg.Congestion = cong
+		cfg.Faults = faults
+		rs, err := Sweep(cfg, Uniform(), []float64{0.2, 0.6}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			fmt.Fprintf(&sb, "%.3f,%s,%.2f,%d,%.4f,%.4f,%.4f,%.2f,%d,%d,%t,%t,%d,%d,%d,%d,%d,%d,%d\n",
+				r.Load, r.Algo, r.AvgLatency, r.P99, r.Accepted, r.MisroutedGlobal, r.OverflowFrac,
+				r.CIHalfLatency, r.MeasuredCycles, r.WarmupCycles, r.Saturated, r.Converged,
+				r.Marked, r.Notified, r.Throttled, r.Shed, r.Dropped, r.Retried, r.Unroutable)
+		}
+	}
+	if got := sb.String(); got != string(want) {
+		t.Errorf("golden mismatch for sweep_tiny_resilience.csv:\n--- want\n%s--- got\n%s", want, got)
+	}
+}

@@ -26,12 +26,13 @@ import (
 // exchange period.
 func AblationECtNPeriod(s Scale, b Budget, w io.Writer) error {
 	load := transientLoad(s)
+	b.Pre = 0 // the trace starts at the switch
 	fmt.Fprintf(w, "# ablation: ECtN exchange period (UN->ADV+1 at load %.2f)\n", load)
 	fmt.Fprintln(w, "period_cycles,early_misrouted_pct,late_misrouted_pct")
 	for _, period := range []int64{25, 50, 100, 200, 400} {
-		cfg := NewConfig(s.Params(), routing.ECtN)
+		cfg := b.config(s, routing.ECtN)
 		cfg.Opts.ECtNPeriod = period
-		r, err := RunTransient(cfg, UN(), ADV(1), load, b.TransientWarmup, 0, b.Post, b.Bucket, b.Seeds)
+		r, err := RunTransient(cfg, UN(), ADV(1), load, b)
 		if err != nil {
 			return err
 		}
@@ -49,9 +50,9 @@ func AblationSpeedup(s Scale, b Budget, w io.Writer) error {
 	fmt.Fprintln(w, "speedup,load,avg_latency_cycles,accepted_phits_node_cycle")
 	for _, speedup := range []int{1, 2, 3} {
 		for _, load := range []float64{0.5, 0.8} {
-			cfg := NewConfig(s.Params(), routing.Base)
+			cfg := b.config(s, routing.Base)
 			cfg.Router.Speedup = speedup
-			r, err := RunSteadyBudget(cfg, UN(), load, b)
+			r, err := RunSteady(cfg, UN(), load, b)
 			if err != nil {
 				return err
 			}
@@ -70,9 +71,9 @@ func AblationLocalVCs(s Scale, b Budget, w io.Writer) error {
 	fmt.Fprintln(w, "local_vcs,load,avg_latency_cycles,accepted_phits_node_cycle,misrouted_local_frac")
 	for _, vcs := range []int{3, 4} {
 		for _, load := range []float64{0.15, 0.3} {
-			cfg := NewConfig(s.Params(), routing.Base)
+			cfg := b.config(s, routing.Base)
 			cfg.Router.VCsLocal = vcs
-			r, err := RunSteadyBudget(cfg, ADV(h), load, b)
+			r, err := RunSteady(cfg, ADV(h), load, b)
 			if err != nil {
 				return err
 			}
@@ -87,7 +88,7 @@ func AblationLocalVCs(s Scale, b Budget, w io.Writer) error {
 // count — and reports both traffic classes.
 func AblationThresholdBounds(s Scale, b Budget, w io.Writer) error {
 	p := s.Params()
-	cfg := NewConfig(p, routing.Base)
+	cfg := b.config(s, routing.Base)
 	meanVCs := cfg.Router.MeanVCsPerPort()
 	lower := int32(meanVCs + 0.5)
 	upper := int32(p.P)
@@ -101,7 +102,7 @@ func AblationThresholdBounds(s Scale, b Budget, w io.Writer) error {
 		}{{UN(), 0.5}, {ADV(1), 0.2}} {
 			c := cfg
 			c.Opts.BaseTh = th
-			r, err := RunSteadyBudget(c, tc.w, tc.load, b)
+			r, err := RunSteady(c, tc.w, tc.load, b)
 			if err != nil {
 				return err
 			}
@@ -121,8 +122,7 @@ func AblationStatisticalTrigger(s Scale, b Budget, w io.Writer) error {
 	fmt.Fprintln(w, "algo,load,avg_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac")
 	for _, algo := range []routing.Algo{routing.Base, routing.BaseProb} {
 		for _, load := range []float64{0.1, 0.2} {
-			cfg := NewConfig(s.Params(), algo)
-			r, err := RunSteadyBudget(cfg, ADV(1), load, b)
+			r, err := RunSteady(b.config(s, algo), ADV(1), load, b)
 			if err != nil {
 				return err
 			}
@@ -151,20 +151,10 @@ func windowMean(r TransientResult, lo, hi int64, series []float64) float64 {
 // AblationExperiments returns the ablation set in registry form.
 func AblationExperiments() []Experiment {
 	return []Experiment{
-		{"abl-ectn-period", "Ablation: ECtN exchange period vs adaptation speed", func(s Scale, b Budget, w io.Writer) error {
-			return AblationECtNPeriod(s, b, w)
-		}},
-		{"abl-speedup", "Ablation: allocator internal speedup vs throughput", func(s Scale, b Budget, w io.Writer) error {
-			return AblationSpeedup(s, b, w)
-		}},
-		{"abl-local-vcs", "Ablation: local VC count under ADV+h", func(s Scale, b Budget, w io.Writer) error {
-			return AblationLocalVCs(s, b, w)
-		}},
-		{"abl-th-bounds", "Ablation: Base threshold at the §VI-A bounds", func(s Scale, b Budget, w io.Writer) error {
-			return AblationThresholdBounds(s, b, w)
-		}},
-		{"abl-statistical", "Ablation: §VI-C statistical trigger vs Base under ADV+1", func(s Scale, b Budget, w io.Writer) error {
-			return AblationStatisticalTrigger(s, b, w)
-		}},
+		{"abl-ectn-period", "Ablation: ECtN exchange period vs adaptation speed", AblationECtNPeriod},
+		{"abl-speedup", "Ablation: allocator internal speedup vs throughput", AblationSpeedup},
+		{"abl-local-vcs", "Ablation: local VC count under ADV+h", AblationLocalVCs},
+		{"abl-th-bounds", "Ablation: Base threshold at the §VI-A bounds", AblationThresholdBounds},
+		{"abl-statistical", "Ablation: §VI-C statistical trigger vs Base under ADV+1", AblationStatisticalTrigger},
 	}
 }

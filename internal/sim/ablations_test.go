@@ -2,8 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+
+	"cbar/internal/router"
 )
 
 func ablationBudget() Budget {
@@ -96,5 +101,40 @@ func TestWindowMean(t *testing.T) {
 	}
 	if got := windowMean(r, 100, 200, r.MisroutedPct); got != 0 {
 		t.Fatalf("empty window = %v", got)
+	}
+}
+
+// TestExperimentsHonorCancelledBudget: every registered experiment —
+// figures and ablations alike — must stop with context.Canceled under a
+// pre-cancelled Budget.Ctx instead of running to completion.
+func TestExperimentsHonorCancelledBudget(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b := goldenBudget()
+	b.PostLong = b.Post
+	b.Ctx = ctx
+	for _, e := range AllExperiments() {
+		if err := e.Run(Tiny, b, io.Discard); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: err = %v, want context.Canceled", e.ID, err)
+		}
+	}
+}
+
+// TestAblationHonorsFaultPlan: an ablation run with a fault plan in its
+// budget must simulate the faulted fabric, not the healthy one.
+func TestAblationHonorsFaultPlan(t *testing.T) {
+	t.Parallel()
+	var healthy, faulted bytes.Buffer
+	b := ablationBudget()
+	if err := AblationStatisticalTrigger(Tiny, b, &healthy); err != nil {
+		t.Fatal(err)
+	}
+	b.Faults = router.FaultConfig{RandomPct: 50}
+	if err := AblationStatisticalTrigger(Tiny, b, &faulted); err != nil {
+		t.Fatal(err)
+	}
+	if healthy.String() == faulted.String() {
+		t.Fatalf("fault plan ignored: output identical with and without it:\n%s", healthy.String())
 	}
 }

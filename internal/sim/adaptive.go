@@ -5,7 +5,6 @@ import (
 
 	"cbar/internal/router"
 	"cbar/internal/stats"
-	"cbar/internal/traffic"
 )
 
 // Adaptive measurement engine. Instead of the paper's fixed
@@ -70,16 +69,6 @@ const (
 	// transient spike cannot short-circuit a healthy run.
 	satConsecutive = 2
 )
-
-// measureSeed runs one seed of a steady-state point under the budget's
-// measurement mode: the fixed-window steadySeed (bit-identical to the
-// pre-adaptive implementation) or the adaptive engine.
-func measureSeed(c Config, w Workload, load float64, b Budget, seed uint64) (SteadyResult, *stats.Histogram, error) {
-	if b.Adaptive {
-		return adaptiveSeed(c, w, load, b, seed)
-	}
-	return steadySeed(b.Ctx, c, w, load, b.Warmup, b.Measure, seed)
-}
 
 // satDetector watches for the two signatures of an offered load past the
 // saturation point: the in-flight packet population growing without
@@ -150,79 +139,28 @@ func (d *satDetector) saturated() bool {
 	return d.hits >= satConsecutive
 }
 
-// adaptiveSeed runs one seed's steady-state experiment under the
-// adaptive engine. Like steadySeed it leaves the latency summary fields
-// to reduceSteady (via the returned histogram); unlike steadySeed the
-// windows are data-driven: warmup ends when MSER says the transient is
-// over (capped by b.Warmup), measurement ends when the batch-means CIs
-// hit b.CIRelWidth (capped by b.MaxMeasure), and the saturation
-// detector can cut either phase short.
-func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (SteadyResult, *stats.Histogram, error) {
-	net, err := BuildNetwork(c, seed)
-	if err != nil {
-		return SteadyResult{}, nil, err
-	}
-	pat, err := w.Pattern(net.Topo)
-	if err != nil {
-		return SteadyResult{}, nil, err
-	}
-	inj, err := w.injector(net, traffic.Constant(pat), load, seed^0x9E3779B97F4A7C15)
-	if err != nil {
-		return SteadyResult{}, nil, err
-	}
+// adaptive runs the seed under the adaptive engine: warmup ends when
+// MSER says the transient is over (capped by b.Warmup), measurement
+// ends when the batch-means CIs hit b.CIRelWidth (capped by
+// b.MaxMeasure), and the saturation detector can cut either phase
+// short.
+func (s *steadySeed) adaptive(b Budget, src SourceSpec) (SteadyResult, error) {
+	net := s.net
 	nodes := float64(net.Topo.Nodes)
-
-	// Delivery observer: per-bucket accumulators plus the running
-	// aggregate statistics. The aggregates (and the histogram) are reset
-	// at the warmup/measurement boundary, so after the run they cover
-	// exactly the measurement window.
-	var (
-		hist    = stats.NewHistogram(latencyHistCap)
-		hops    stats.Welford
-		phits   uint64
-		misG    uint64
-		misL    uint64
-		counted uint64
-		bSum    float64
-		bCnt    uint64
-		bPhits  uint64
-	)
-	net.OnDeliver = func(p *router.Packet, now int64) {
-		lat := now - p.GenTime
-		bSum += float64(lat)
-		bCnt++
-		bPhits += uint64(p.Size)
-		hist.Add(lat)
-		hops.Add(float64(p.TotalHops))
-		phits += uint64(p.Size)
-		if p.GlobalMisroute {
-			misG++
+	sat := newSatDetector(net, src)
+	// bucket runs one adaptiveBucket-cycle bucket. Jumps are capped at
+	// the bucket boundary, so every bucket's bookkeeping (series
+	// entries, saturation samples) still runs; an elided sub-span
+	// delivers nothing, so the synthesized bucket is exactly what
+	// stepping it would have produced.
+	bucket := func() error {
+		s.bSum, s.bCnt, s.bPhits = 0, 0, 0
+		if err := runTo(b.Ctx, net, s.inj, net.Now()+adaptiveBucket); err != nil {
+			return err
 		}
-		if p.LocalMisroutes > 0 {
-			misL++
-		}
-		counted++
+		sat.sample(net)
+		return nil
 	}
-
-	var cyc int64
-	runBucket := func() {
-		bSum, bCnt, bPhits = 0, 0, 0
-		// Jumps are capped at the bucket boundary, so every bucket's
-		// bookkeeping (series entries, saturation samples) still runs;
-		// an elided sub-span delivers nothing, so the synthesized bucket
-		// is exactly what stepping it would have produced.
-		end := net.Now() + adaptiveBucket
-		for net.Now() < end {
-			if elideStep(net, inj, end) {
-				continue
-			}
-			inj.Cycle()
-			net.Step()
-		}
-		cyc += adaptiveBucket
-	}
-
-	sat := newSatDetector(net, w.Source)
 	saturated := false
 
 	// Phase 1: warmup detection. The latency series carries the last
@@ -232,13 +170,11 @@ func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (St
 	lastMean := 0.0
 	warmupDone := false
 	for !warmupDone && !saturated {
-		if err := ctxErr(b.Ctx); err != nil {
-			return SteadyResult{}, nil, err
+		if err := bucket(); err != nil {
+			return SteadyResult{}, err
 		}
-		runBucket()
-		sat.sample(net)
-		if bCnt > 0 {
-			lastMean = bSum / float64(bCnt)
+		if s.bCnt > 0 {
+			lastMean = s.bSum / float64(s.bCnt)
 		}
 		warmSeries = append(warmSeries, lastMean)
 		if len(warmSeries)%adaptiveCheckEvery == 0 {
@@ -252,42 +188,28 @@ func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (St
 				}
 			}
 		}
-		if cyc >= b.Warmup { // the fixed budget's warmup is the cap
+		if net.Now() >= b.Warmup { // the fixed budget's warmup is the cap
 			warmupDone = true
 		}
 	}
 
 	// Phase boundary: everything before this cycle is discarded warmup.
-	truncWarm := cyc
-	var busyLocal0, busyGlobal0 int64
-	var marked0, notified0, shed0, throttled0 uint64
-	var dropped0, retried0, unroutable0 uint64
+	truncWarm := net.Now()
 	var ciLat, ciAcc float64
 	converged := false
-	measStart := cyc
 	if !saturated {
-		hist = stats.NewHistogram(latencyHistCap)
-		hops.Reset()
-		phits, misG, misL, counted = 0, 0, 0, 0
-		_, busyLocal0, busyGlobal0 = net.LinkBusy()
-		marked0, notified0, shed0 = net.NumMarked, net.NumNotified, net.NumShed
-		throttled0 = inj.Throttled()
-		dropped0, retried0, unroutable0 = net.NumDropped, inj.Retried(), net.NumUnroutable
+		s.beginMeasure()
 
 		// Phase 2: CI-driven measurement.
 		var latB, thrB []float64
-		buckets := 0
-		for {
-			if err := ctxErr(b.Ctx); err != nil {
-				return SteadyResult{}, nil, err
+		for buckets := 1; ; buckets++ {
+			if err := bucket(); err != nil {
+				return SteadyResult{}, err
 			}
-			runBucket()
-			sat.sample(net)
-			buckets++
-			if bCnt > 0 {
-				latB = append(latB, bSum/float64(bCnt))
+			if s.bCnt > 0 {
+				latB = append(latB, s.bSum/float64(s.bCnt))
 			}
-			thrB = append(thrB, float64(bPhits)/(adaptiveBucket*nodes))
+			thrB = append(thrB, float64(s.bPhits)/(adaptiveBucket*nodes))
 			if buckets%adaptiveCheckEvery == 0 {
 				if sat.saturated() {
 					saturated = true
@@ -318,42 +240,15 @@ func adaptiveSeed(c Config, w Workload, load float64, b Budget, seed uint64) (St
 		}
 	}
 
-	measure := cyc - measStart
+	measure := net.Now() - truncWarm
 	if measure == 0 {
 		// Saturated before any measurement: report the whole run so the
 		// point still carries throughput/latency evidence, flagged.
-		measure = cyc
+		measure = net.Now()
 		truncWarm = 0
 	}
-	_, busyLocal1, busyGlobal1 := net.LinkBusy()
-	_, nLocal, nGlobal := net.LinkCounts()
-	res := SteadyResult{
-		Algo:           c.Algo.String(),
-		Workload:       w.Name(),
-		Load:           load,
-		Accepted:       float64(phits) / (float64(measure) * nodes),
-		Delivered:      counted,
-		AvgHops:        hops.Mean(),
-		UtilLocal:      float64(busyLocal1-busyLocal0) / (float64(measure) * float64(nLocal)),
-		UtilGlobal:     float64(busyGlobal1-busyGlobal0) / (float64(measure) * float64(nGlobal)),
-		Seeds:          1,
-		CIHalfLatency:  ciLat,
-		CIHalfAccepted: ciAcc,
-		MeasuredCycles: measure,
-		WarmupCycles:   truncWarm,
-		Saturated:      saturated,
-		Converged:      converged,
-		Marked:         net.NumMarked - marked0,
-		Notified:       net.NumNotified - notified0,
-		Throttled:      inj.Throttled() - throttled0,
-		Shed:           net.NumShed - shed0,
-		Dropped:        net.NumDropped - dropped0,
-		Retried:        inj.Retried() - retried0,
-		Unroutable:     net.NumUnroutable - unroutable0,
-	}
-	if counted > 0 {
-		res.MisroutedGlobal = float64(misG) / float64(counted)
-		res.MisroutedLocal = float64(misL) / float64(counted)
-	}
-	return res, hist, nil
+	r := s.result(measure, truncWarm)
+	r.CIHalfLatency, r.CIHalfAccepted = ciLat, ciAcc
+	r.Saturated, r.Converged = saturated, converged
+	return r, nil
 }

@@ -14,11 +14,11 @@ import (
 func TestAdaptiveOffBitIdentical(t *testing.T) {
 	t.Parallel()
 	c := tinyCfg(routing.Base)
-	want, err := RunSteady(c, UN(), 0.2, 500, 500, 2)
+	want, err := RunSteady(c, UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSteadyBudget(c, UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 2})
+	got, err := RunSteady(c, UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestAdaptiveConvergesWithFewerCycles(t *testing.T) {
 	// the point of comparison is the budget the fixed path would spend.
 	b := Budget{Warmup: 1200, Measure: 2500, Seeds: 2, Adaptive: true}
 	for _, algo := range []routing.Algo{routing.Base, routing.ECtN} {
-		r, err := RunSteadyBudget(tinyCfg(algo), UN(), 0.2, b)
+		r, err := RunSteady(tinyCfg(algo), UN(), 0.2, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestAdaptiveConvergesWithFewerCycles(t *testing.T) {
 		if r.WarmupCycles <= 0 || r.WarmupCycles > b.Warmup {
 			t.Errorf("%v: truncated warmup %d outside (0, %d]", algo, r.WarmupCycles, b.Warmup)
 		}
-		fixed, err := RunSteady(tinyCfg(algo), UN(), 0.2, b.Warmup, b.Measure, b.Seeds)
+		fixed, err := RunSteady(tinyCfg(algo), UN(), 0.2, Budget{Warmup: b.Warmup, Measure: b.Measure, Seeds: b.Seeds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestAdaptiveConvergesWithFewerCycles(t *testing.T) {
 func TestAdaptiveSaturationShortCircuit(t *testing.T) {
 	t.Parallel()
 	b := Budget{Warmup: 2000, Measure: 2500, MaxMeasure: 10000, Seeds: 2, Adaptive: true}
-	r, err := RunSteadyBudget(tinyCfg(routing.Base), ADV(1), 0.7, b)
+	r, err := RunSteady(tinyCfg(routing.Base), ADV(1), 0.7, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,20 +110,20 @@ func TestBudgetValidation(t *testing.T) {
 		{Warmup: 100, Measure: 100, Seeds: 1, Adaptive: true, MaxMeasure: -5}, // negative cap
 	}
 	for i, b := range cases {
-		if _, err := RunSteadyBudget(c, UN(), 0.1, b); err == nil {
+		if _, err := RunSteady(c, UN(), 0.1, b); err == nil {
 			t.Errorf("case %d: budget %+v accepted", i, b)
 		}
 	}
 	// The legacy entry point now validates too (it used to clamp
 	// seeds < 1 to 1 silently).
-	if _, err := RunSteady(c, UN(), 0.1, 100, 100, 0); err == nil {
+	if _, err := RunSteady(c, UN(), 0.1, Budget{Warmup: 100, Measure: 100, Seeds: 0}); err == nil {
 		t.Error("RunSteady with 0 seeds accepted")
 	}
 	// A positive MaxMeasure below the stopping rule's minimum series
 	// length is floored, not honored: the run must still reach at least
 	// one CI check instead of exiting with a zero half-width.
 	small := Budget{Warmup: 300, Measure: 100, MaxMeasure: 200, Seeds: 1, Adaptive: true}
-	r, err := RunSteadyBudget(c, UN(), 0.2, small)
+	r, err := RunSteady(c, UN(), 0.2, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +132,13 @@ func TestBudgetValidation(t *testing.T) {
 	}
 	// Transient: bucket wider than the post window, negative pre, and
 	// non-positive bucket/seeds all error.
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 500, 100, 200, 0, 1); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, Budget{TransientWarmup: 500, Pre: 100, Post: 200, Bucket: 0, Seeds: 1}); err == nil {
 		t.Error("bucket 0 accepted")
 	}
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 500, -1, 200, 10, 1); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, Budget{TransientWarmup: 500, Pre: -1, Post: 200, Bucket: 10, Seeds: 1}); err == nil {
 		t.Error("negative pre accepted")
 	}
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 500, 100, 200, 10, 0); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, Budget{TransientWarmup: 500, Pre: 100, Post: 200, Bucket: 10, Seeds: 0}); err == nil {
 		t.Error("0 transient seeds accepted")
 	}
 }

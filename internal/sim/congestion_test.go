@@ -151,14 +151,14 @@ func TestCongestionConvergenceHotspot(t *testing.T) {
 	b := Budget{Warmup: 1200, Measure: 1200, Seeds: 2}
 	c := NewConfig(Tiny.Params(), routing.Base)
 	w := HotspotUN(0.3, 8)
-	off, err := RunSteadyBudget(c, w, 0.7, b)
+	off, err := RunSteady(c, w, 0.7, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bc := b
 	bc.Congestion = congestionOn()
 	c.Router.Congestion = bc.Congestion
-	on, err := RunSteadyBudget(c, w, 0.7, bc)
+	on, err := RunSteady(c, w, 0.7, bc)
 	if err != nil {
 		t.Fatal(err)
 	}

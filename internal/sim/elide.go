@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+
 	"cbar/internal/router"
 	"cbar/internal/traffic"
 )
@@ -41,17 +43,29 @@ func elideStep(net *router.Network, inj *traffic.Injector, target int64) bool {
 	return true
 }
 
-// Advance runs the pair for `cycles` cycles — the canonical
-// inj.Cycle(); net.Step() loop with quiet spans elided. Benchmarks and
-// tests drive deep-idle regimes through it; the measurement loops
-// inline the same pattern with their own bucket caps.
-func Advance(net *router.Network, inj *traffic.Injector, cycles int64) {
-	end := net.Now() + cycles
-	for net.Now() < end {
+// runTo runs the pair to the absolute cycle end — the canonical
+// inj.Cycle(); net.Step() loop with quiet spans elided, jumps capped at
+// end — polling ctx once per bucket-aligned cycle so a cancelled run
+// stops at bucket granularity. Every measurement loop of the package
+// runs through it, choosing end at its own bookkeeping boundaries.
+func runTo(ctx context.Context, net *router.Network, inj *traffic.Injector, end int64) error {
+	for cyc := net.Now(); cyc < end; cyc = net.Now() {
+		if cyc%adaptiveBucket == 0 {
+			if err := ctxErr(ctx); err != nil {
+				return err
+			}
+		}
 		if elideStep(net, inj, end) {
 			continue
 		}
 		inj.Cycle()
 		net.Step()
 	}
+	return nil
+}
+
+// Advance runs the pair for `cycles` cycles with quiet spans elided.
+// Benchmarks and tests drive deep-idle regimes through it.
+func Advance(net *router.Network, inj *traffic.Injector, cycles int64) {
+	_ = runTo(context.TODO(), net, inj, net.Now()+cycles)
 }

@@ -244,15 +244,15 @@ func TestElisionFaultEventMidSpan(t *testing.T) {
 func TestElisionMeasurementBitIdentical(t *testing.T) {
 	c := tinyCfg(routing.ECtN)
 	run := func() (SteadyResult, SteadyResult, TransientResult) {
-		fixed, err := RunSteady(c, UN(), 0.01, 600, 900, 2)
+		fixed, err := RunSteady(c, UN(), 0.01, Budget{Warmup: 600, Measure: 900, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		adaptive, err := RunSteadyBudget(c, UN(), 0.01, Budget{Warmup: 800, Measure: 2000, MaxMeasure: 4000, Seeds: 2, Adaptive: true})
+		adaptive, err := RunSteady(c, UN(), 0.01, Budget{Warmup: 800, Measure: 2000, MaxMeasure: 4000, Seeds: 2, Adaptive: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		transient, err := RunTransient(c, UN(), ADV(1), 0.01, 600, 300, 600, 50, 2)
+		transient, err := RunTransient(c, UN(), ADV(1), 0.01, Budget{TransientWarmup: 600, Pre: 300, Post: 600, Bucket: 50, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

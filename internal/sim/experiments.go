@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"cbar/internal/routing"
-	"cbar/internal/stats"
 )
 
 // transientLoad returns the offered load of the Figures 7-9 experiments:
@@ -79,110 +78,42 @@ var adaptiveAlgos = []routing.Algo{
 	routing.PB, routing.OLM, routing.Base, routing.Hybrid, routing.ECtN,
 }
 
-type sweepKey struct {
-	algo routing.Algo
-	load float64
+// config returns the Table I config of the mechanism at the scale with
+// the budget's per-simulation settings applied: shard workers,
+// congestion management and the fault plan. Every experiment builds its
+// configs here, so none can drop part of its budget.
+func (b Budget) config(s Scale, a routing.Algo) Config {
+	c := NewConfig(s.Params(), a)
+	c.Router.Workers = b.Workers
+	c.Router.Congestion = b.Congestion
+	c.Router.Faults = b.Faults
+	return c
 }
 
-// sweepSteady runs a full (algorithm × load) steady-state grid with all
-// points and seeds in one parallel worker pool.
-func sweepSteady(s Scale, algos []routing.Algo, w Workload, loads []float64, b Budget,
-	mutate func(*Config)) (map[sweepKey]SteadyResult, error) {
-	b = b.steadyDefaults()
-	if err := b.validateSteady(); err != nil {
-		return nil, err
-	}
-	type job struct {
-		key  sweepKey
-		seed uint64
-	}
-	var jobs []job
-	for _, a := range algos {
-		for _, l := range loads {
-			for sd := 0; sd < b.Seeds; sd++ {
-				jobs = append(jobs, job{sweepKey{a, l}, seedFor(sd)})
-			}
+// runFig5 runs the (mechanism × load) grid of a Figure 5 plot through
+// one pool and prints one CSV row per (load, mechanism), loads
+// ascending.
+func runFig5(s Scale, b Budget, w io.Writer, workload Workload, title string) error {
+	var pts []steadyPoint
+	for _, a := range steadyAlgos {
+		for _, l := range b.Loads {
+			pts = append(pts, steadyPoint{b.config(s, a), workload, l})
 		}
 	}
-	perJob := make([]SteadyResult, len(jobs))
-	perHist := make([]*stats.Histogram, len(jobs))
-	requested := b.Workers
-	if requested == 0 && len(algos) > 0 {
-		// Probe the mutated config for auto-shard eligibility (e.g. a
-		// mutate that grows PacketSize past the handoff-ordering bound
-		// must keep its runs sequential rather than fail Build).
-		probe := NewConfig(s.Params(), algos[0])
-		if mutate != nil {
-			mutate(&probe)
-		}
-		if !autoShardable(probe.Router) {
-			requested = 1
-		}
-	}
-	perRun, taskWorkers := planWorkers(requested, len(jobs))
-	err := forEachTaskN(len(jobs), taskWorkers, func(i int) error {
-		cfg := NewConfig(s.Params(), jobs[i].key.algo)
-		cfg.Router.Workers = perRun
-		cfg.Router.Congestion = b.Congestion
-		cfg.Router.Faults = b.Faults
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		var err error
-		perJob[i], perHist[i], err = measureSeed(cfg, w, jobs[i].key.load, b, jobs[i].seed)
-		return err
-	})
+	res, err := runGrid(pts, b)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Group in first-appearance order of the job list so the reduction
-	// runs in a deterministic sequence (jobs is built load-major, so the
-	// order is also the output order of the tables).
-	grouped := map[sweepKey][]int{}
-	var keys []sweepKey
-	for i, j := range jobs {
-		if _, ok := grouped[j.key]; !ok {
-			keys = append(keys, j.key)
-		}
-		grouped[j.key] = append(grouped[j.key], i)
-	}
-	out := make(map[sweepKey]SteadyResult, len(grouped))
-	for _, k := range keys {
-		idx := grouped[k]
-		rs := make([]SteadyResult, len(idx))
-		hs := make([]*stats.Histogram, len(idx))
-		for i, j := range idx {
-			rs[i], hs[i] = perJob[j], perHist[j]
-		}
-		out[k] = reduceSteady(rs, hs)
-	}
-	return out, nil
-}
-
-// writeSteadyTable prints a Figure 5-style CSV: one row per (load, algo).
-func writeSteadyTable(w io.Writer, title string, res map[sweepKey]SteadyResult, algos []routing.Algo, loads []float64) error {
+	sort.SliceStable(res, func(i, j int) bool { return res[i].Load < res[j].Load })
 	if _, err := fmt.Fprintf(w, "# %s\n", title); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "load,algo,avg_latency_cycles,p99_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac,misrouted_local_frac,avg_hops")
-	sorted := append([]float64(nil), loads...)
-	sort.Float64s(sorted)
-	for _, l := range sorted {
-		for _, a := range algos {
-			r := res[sweepKey{a, l}]
-			fmt.Fprintf(w, "%.3f,%s,%.2f,%d,%.4f,%.4f,%.4f,%.3f\n",
-				l, r.Algo, r.AvgLatency, r.P99, r.Accepted, r.MisroutedGlobal, r.MisroutedLocal, r.AvgHops)
-		}
+	for _, r := range res {
+		fmt.Fprintf(w, "%.3f,%s,%.2f,%d,%.4f,%.4f,%.4f,%.3f\n",
+			r.Load, r.Algo, r.AvgLatency, r.P99, r.Accepted, r.MisroutedGlobal, r.MisroutedLocal, r.AvgHops)
 	}
 	return nil
-}
-
-func runFig5(s Scale, b Budget, w io.Writer, workload Workload, title string) error {
-	res, err := sweepSteady(s, steadyAlgos, workload, b.Loads, b, nil)
-	if err != nil {
-		return err
-	}
-	return writeSteadyTable(w, title, res, steadyAlgos, b.Loads)
 }
 
 func runFig5a(s Scale, b Budget, w io.Writer) error {
@@ -206,10 +137,7 @@ func runFig6(s Scale, b Budget, w io.Writer) error {
 	fmt.Fprintln(w, "uniform_pct,algo,avg_latency_cycles,accepted_phits_node_cycle,misrouted_global_frac")
 	for _, frac := range fracs {
 		for _, a := range adaptiveAlgos {
-			cfg := NewConfig(s.Params(), a)
-			cfg.Router.Congestion = b.Congestion
-			cfg.Router.Faults = b.Faults
-			r, err := RunSteadyBudget(cfg, MixUN(frac, 1), load, b)
+			r, err := RunSteady(b.config(s, a), MixUN(frac, 1), load, b)
 			if err != nil {
 				return err
 			}
@@ -234,23 +162,19 @@ func runTransientFigure(s Scale, b Budget, w io.Writer, algos []routing.Algo, po
 	// (Post or PostLong) before building any network, mirroring the
 	// upfront validateSteady of the sweep experiments — a bad budget
 	// fails in microseconds instead of after the first algorithm's runs.
-	vb := b
-	vb.Post = post
-	if err := vb.validateTransient(); err != nil {
+	b.Post = post
+	if err := b.validateTransient(); err != nil {
 		return err
 	}
 	load := transientLoad(s)
 	fmt.Fprintf(w, "# %s (UN->ADV+1 at t=0, load %.2f)\n", title, load)
 	results := make([]TransientResult, len(algos))
 	for i, a := range algos {
-		cfg := NewConfig(s.Params(), a)
-		cfg.Router.Workers = b.Workers
-		cfg.Router.Congestion = b.Congestion
-		cfg.Router.Faults = b.Faults
+		cfg := b.config(s, a)
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		r, err := RunTransientCtx(b.Ctx, cfg, UN(), ADV(1), load, b.TransientWarmup, b.Pre, post, b.Bucket, b.Seeds)
+		r, err := RunTransient(cfg, UN(), ADV(1), load, b)
 		if err != nil {
 			return err
 		}
@@ -303,23 +227,16 @@ func runFig10(s Scale, b Budget, w io.Writer, workload Workload, ths []int32, re
 	fmt.Fprintln(w, "load,threshold,avg_latency_cycles,accepted_phits_node_cycle")
 	for _, l := range b.Loads {
 		for _, th := range ths {
-			cfg := NewConfig(s.Params(), routing.Base)
-			cfg.Router.Workers = b.Workers
-			cfg.Router.Congestion = b.Congestion
-			cfg.Router.Faults = b.Faults
+			cfg := b.config(s, routing.Base)
 			cfg.Opts.BaseTh = th
-			r, err := RunSteadyBudget(cfg, workload, l, b)
+			r, err := RunSteady(cfg, workload, l, b)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "%.3f,th=%d,%.2f,%.4f\n", l, th, r.AvgLatency, r.Accepted)
 		}
 		// Oblivious reference curve (MIN for UN, VAL for ADV).
-		refCfg := NewConfig(s.Params(), ref)
-		refCfg.Router.Workers = b.Workers
-		refCfg.Router.Congestion = b.Congestion
-		refCfg.Router.Faults = b.Faults
-		r, err := RunSteadyBudget(refCfg, workload, l, b)
+		r, err := RunSteady(b.config(s, ref), workload, l, b)
 		if err != nil {
 			return err
 		}
@@ -341,11 +258,10 @@ func runFig10b(s Scale, b Budget, w io.Writer) error {
 }
 
 func runVIA(s Scale, b Budget, w io.Writer) error {
-	cfg := NewConfig(s.Params(), routing.Base)
-	cfg.Router.Workers = b.Workers
-	cfg.Router.Congestion = b.Congestion
-	cfg.Router.Faults = b.Faults
-	got, err := MeanSaturatedContention(cfg, 0.95, b.Warmup, b.Measure/4, 1)
+	cfg := b.config(s, routing.Base)
+	sample := b
+	sample.Measure /= 4
+	got, err := MeanSaturatedContention(cfg, 0.95, sample)
 	if err != nil {
 		return err
 	}

@@ -243,7 +243,7 @@ func TestAutoWorkersSkipUnshardableConfig(t *testing.T) {
 	if autoShardable(c.Router) {
 		t.Fatal("test config unexpectedly shardable")
 	}
-	rs, err := SweepSteady(c, UN(), []float64{0.1}, 200, 200, 1)
+	rs, err := SweepSteady(c, UN(), []float64{0.1}, Budget{Warmup: 200, Measure: 200, Seeds: 1})
 	if err != nil {
 		t.Fatalf("auto worker split broke an unshardable-but-valid config: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestAutoWorkersSkipUnshardableConfig(t *testing.T) {
 		t.Fatal("sequential fallback delivered nothing")
 	}
 	c.Router.Workers = 2
-	if _, err := SweepSteady(c, UN(), []float64{0.1}, 200, 200, 1); err == nil {
+	if _, err := SweepSteady(c, UN(), []float64{0.1}, Budget{Warmup: 200, Measure: 200, Seeds: 1}); err == nil {
 		t.Fatal("explicit workers=2 on an unshardable config surfaced no error")
 	}
 }
@@ -294,7 +294,7 @@ func TestForEachTaskPanicRecovered(t *testing.T) {
 func TestSweepSteadySurfacesTaskFailure(t *testing.T) {
 	c := NewConfig(Tiny.Params(), routing.Base)
 	w := Workload{Kind: WorkloadKind(977)} // resolves to an error inside the task
-	if _, err := SweepSteady(c, w, []float64{0.1}, 10, 10, 2); err == nil {
+	if _, err := SweepSteady(c, w, []float64{0.1}, Budget{Warmup: 10, Measure: 10, Seeds: 2}); err == nil {
 		t.Fatal("failing seed run produced no error")
 	}
 }

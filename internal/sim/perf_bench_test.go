@@ -4,30 +4,18 @@ import (
 	"testing"
 
 	"cbar/internal/rng"
-	"cbar/internal/router"
 	"cbar/internal/routing"
-	"cbar/internal/traffic"
 )
 
-func mustStepBench(b *testing.B, s Scale, algo routing.Algo, load float64, fullScan, refScan bool) (*router.Network, *traffic.Injector) {
+// benchStepRun measures the per-cycle cost of a whole-network step,
+// the simulator's fundamental unit of work, from a warmed steady state
+// (see NewStepBench).
+func benchStepRun(b *testing.B, c Config, w Workload, load float64, fullScan bool) {
 	b.Helper()
-	net, inj, err := NewStepBench(s, algo, load, fullScan, refScan)
+	net, inj, err := NewStepBench(c, w, load, fullScan)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return net, inj
-}
-
-// benchStep measures the per-cycle cost of a whole-network step at a
-// given scale and load, the simulator's fundamental unit of work, from
-// a warmed steady state (see NewStepBench).
-func benchStep(b *testing.B, s Scale, algo routing.Algo, load float64) {
-	benchStepMode(b, s, algo, load, false, false)
-}
-
-func benchStepMode(b *testing.B, s Scale, algo routing.Algo, load float64, fullScan, refScan bool) {
-	b.Helper()
-	net, inj := mustStepBench(b, s, algo, load, fullScan, refScan)
 	gen0 := net.NumGenerated
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,6 +28,20 @@ func benchStepMode(b *testing.B, s Scale, algo routing.Algo, load float64, fullS
 	if b.N > 1000 && net.NumGenerated == gen0 {
 		b.Fatal("no traffic generated during measurement")
 	}
+}
+
+// benchStep measures the step at a given scale and uniform load.
+func benchStep(b *testing.B, s Scale, algo routing.Algo, load float64) {
+	benchStepMode(b, s, algo, load, false, false)
+}
+
+// benchStepMode is benchStep with the fabric full scan (fullScan) or
+// the reference algorithm state (refScan) selected.
+func benchStepMode(b *testing.B, s Scale, algo routing.Algo, load float64, fullScan, refScan bool) {
+	b.Helper()
+	c := NewConfig(s.Params(), algo)
+	c.Opts.ReferenceScan = refScan
+	benchStepRun(b, c, UN(), load, fullScan)
 }
 
 func BenchmarkStepTinyBase(b *testing.B)  { benchStep(b, Tiny, routing.Base, 0.3) }
@@ -61,7 +63,10 @@ func BenchmarkStepPaperIdle(b *testing.B) { benchStep(b, Paper, routing.Base, 0.
 // the elision change is >= 10x their cycles/sec.
 func benchElideIdle(b *testing.B, s Scale, algo routing.Algo, load float64) {
 	b.Helper()
-	net, inj := mustStepBench(b, s, algo, load, false, false)
+	net, inj, err := NewStepBench(NewConfig(s.Params(), algo), UN(), load, false)
+	if err != nil {
+		b.Fatal(err)
+	}
 	if err := ElideIdleWarm(net, inj); err != nil {
 		b.Fatal(err)
 	}
@@ -116,19 +121,7 @@ func BenchmarkStepPaperECtNIdle(b *testing.B) { benchStep(b, Paper, routing.ECtN
 // particular (16512 mostly-silent sources).
 func benchStepWorkload(b *testing.B, s Scale, algo routing.Algo, w Workload, load float64) {
 	b.Helper()
-	net, inj, err := NewStepBenchWorkload(s, algo, w, load, false, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen0 := net.NumGenerated
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inj.Cycle()
-		net.Step()
-	}
-	if b.N > 1000 && net.NumGenerated == gen0 {
-		b.Fatal("no traffic generated during measurement")
-	}
+	benchStepRun(b, NewConfig(s.Params(), algo), w, load, false)
 }
 
 func BenchmarkStepSmallBurstyIdle(b *testing.B) {
@@ -152,19 +145,9 @@ func BenchmarkStepPaperBurstyIdle(b *testing.B) {
 // comparison lives inside one benchmark run.
 func benchStepWorkers(b *testing.B, s Scale, load float64, workers int) {
 	b.Helper()
-	net, inj, err := NewStepBenchWorkers(s, routing.Base, UN(), load, false, false, workers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen0 := net.NumGenerated
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inj.Cycle()
-		net.Step()
-	}
-	if b.N > 1000 && net.NumGenerated == gen0 {
-		b.Fatal("no traffic generated during measurement")
-	}
+	c := NewConfig(s.Params(), routing.Base)
+	c.Router.Workers = workers
+	benchStepRun(b, c, UN(), load, false)
 }
 
 func BenchmarkStepSmallWorkers1(b *testing.B) { benchStepWorkers(b, Small, 0.3, 1) }

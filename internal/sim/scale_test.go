@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cbar/internal/routing"
-	"cbar/internal/topology"
 )
 
 func TestDefaultBudgets(t *testing.T) {
@@ -106,46 +105,47 @@ func TestRunFigVIAOutput(t *testing.T) {
 	}
 }
 
-// TestSweepSteadyShape runs a minimal grid through the shared sweep
-// helper and checks the result map covers every point.
+// TestSweepSteadyShape runs a minimal (mechanism × load) grid through
+// the shared grid pool and checks every point comes back, in order and
+// merged over its seeds.
 func TestSweepSteadyShape(t *testing.T) {
 	t.Parallel()
 	b := Budget{Warmup: 300, Measure: 300, Seeds: 2}
-	algos := []routing.Algo{routing.Min, routing.Base}
-	loads := []float64{0.1, 0.2}
-	res, err := sweepSteady(Tiny, algos, UN(), loads, b, nil)
+	var pts []steadyPoint
+	for _, a := range []routing.Algo{routing.Min, routing.Base} {
+		for _, l := range []float64{0.1, 0.2} {
+			pts = append(pts, steadyPoint{tinyCfg(a), UN(), l})
+		}
+	}
+	res, err := runGrid(pts, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 4 {
-		t.Fatalf("%d points, want 4", len(res))
+	if len(res) != len(pts) {
+		t.Fatalf("%d points, want %d", len(res), len(pts))
 	}
-	for _, a := range algos {
-		for _, l := range loads {
-			r, ok := res[sweepKey{a, l}]
-			if !ok || r.Seeds != 2 {
-				t.Fatalf("missing or unmerged point %v/%v: %+v", a, l, r)
-			}
+	for i, p := range pts {
+		if r := res[i]; r.Algo != p.c.Algo.String() || r.Load != p.load || r.Seeds != 2 {
+			t.Fatalf("point %d (%v/%v): got %+v", i, p.c.Algo, p.load, r)
 		}
 	}
 }
 
-// TestSweepSteadyMutate checks config mutation hooks reach the runs.
+// TestSweepSteadyMutate checks that each grid point runs under its own
+// config: Base with an unreachable misroute threshold never misroutes
+// under ADV+1, while a threshold of 1 misroutes heavily.
 func TestSweepSteadyMutate(t *testing.T) {
 	t.Parallel()
-	b := Budget{Warmup: 200, Measure: 200, Seeds: 1}
-	called := false
-	_, err := sweepSteady(Tiny, []routing.Algo{routing.Min}, UN(), []float64{0.1}, b,
-		func(c *Config) {
-			called = true
-			if c.Router.Topo != (topology.Params{P: 4, A: 4, H: 2}) {
-				t.Error("unexpected topology in mutate")
-			}
-		})
+	b := Budget{Warmup: 300, Measure: 300, Seeds: 1}
+	eager, never := tinyCfg(routing.Base), tinyCfg(routing.Base)
+	eager.Opts.BaseTh = 1
+	never.Opts.BaseTh = 1 << 20
+	res, err := runGrid([]steadyPoint{{eager, ADV(1), 0.2}, {never, ADV(1), 0.2}}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !called {
-		t.Fatal("mutate not called")
+	if res[0].MisroutedGlobal < 0.1 || res[1].MisroutedGlobal != 0 {
+		t.Fatalf("per-point threshold ignored: misrouted %v (th=1) vs %v (th=inf)",
+			res[0].MisroutedGlobal, res[1].MisroutedGlobal)
 	}
 }

@@ -280,176 +280,221 @@ func (w Workload) injector(net *router.Network, sched *traffic.Schedule, load fl
 	return traffic.NewSourceInjector(net, sched, load, seed, spec)
 }
 
-// SteadyResult aggregates a steady-state measurement across seeds.
+// SteadyResult aggregates a steady-state measurement across seeds. The
+// public package re-exports it as cbar.SteadyResult, so these field
+// docs are the public API's.
 type SteadyResult struct {
-	Algo     string
-	Workload string
-	// Load is the offered load in phits/(node·cycle).
+	// Algo and Workload name the simulated mechanism and traffic pattern
+	// (the forms cbar's Algorithm.String and ParseTraffic accept).
+	Algo, Workload string
+	// Load is the offered load in phits/(node·cycle); with 8-phit
+	// packets and 10-byte phits at 1 GHz this is tenths of 10 GB/s.
 	Load float64
-	// AvgLatency is the mean packet latency in cycles (generation to
-	// tail delivery, NIC queueing included).
+	// AvgLatency is the mean packet latency in cycles, generation to
+	// tail delivery (source queueing included).
 	AvgLatency float64
-	// P50/P99 latency percentiles in cycles.
+	// P50 and P99 are latency percentiles in cycles, taken over the
+	// seeds' merged latency histogram.
 	P50, P99 int64
 	// Accepted is the delivered throughput in phits/(node·cycle).
 	Accepted float64
-	// MisroutedGlobal/MisroutedLocal are the fractions of delivered
-	// packets that took a nonminimal global/local hop.
-	MisroutedGlobal float64
-	MisroutedLocal  float64
-	// AvgHops is the mean router-to-router hop count.
+	// MisroutedGlobal is the fraction of delivered packets that took a
+	// nonminimal global hop; MisroutedLocal likewise for local hops.
+	MisroutedGlobal, MisroutedLocal float64
+	// AvgHops is the mean number of router-to-router hops.
 	AvgHops float64
-	// UtilLocal/UtilGlobal are the mean utilizations (0..1) of local
-	// and global links over the measurement window.
-	UtilLocal  float64
-	UtilGlobal float64
-	// OverflowFrac is the fraction of measured latencies at or above the
-	// histogram cap: nonzero means P50/P99 may be saturated at the cap
-	// and the true tail is worse than reported (typical past the
-	// saturation load).
+	// UtilLocal and UtilGlobal are the mean utilizations (0..1) of the
+	// local and global links over the measurement window — useful for
+	// spotting which tier saturates first (global links under ADV+1,
+	// source-group local links under ADV+h).
+	UtilLocal, UtilGlobal float64
+	// OverflowFrac is the fraction of measured latencies at or above
+	// the latency-histogram cap. Nonzero means the reported percentiles
+	// are saturated at the cap (the true tail is worse) — typical when
+	// the offered load exceeds the saturation throughput.
 	OverflowFrac float64
-	// Delivered packets counted across all seeds' windows.
+	// Delivered counts packets measured across all seeds.
 	Delivered uint64
-	Seeds     int
-	// CIHalfLatency and CIHalfAccepted are the 95% confidence half-widths
-	// of AvgLatency and Accepted from the adaptive engine's batch-means
-	// estimator, combined across seeds. Zero in fixed-window mode.
-	CIHalfLatency  float64
-	CIHalfAccepted float64
+	// Seeds is the number of averaged repeats.
+	Seeds int
+	// CIHalfLatency and CIHalfAccepted are the 95% confidence
+	// half-widths of AvgLatency and Accepted from the adaptive engine's
+	// batch-means estimator, combined across seeds (zero in fixed mode).
+	CIHalfLatency, CIHalfAccepted float64
 	// MeasuredCycles is the total number of measured cycles summed over
-	// all seeds (Measure x Seeds in fixed-window mode; whatever the
-	// stopping rule actually spent in adaptive mode).
+	// all seeds — Measure x Seeds in fixed mode, whatever the stopping
+	// rule actually spent in adaptive mode.
 	MeasuredCycles int64
 	// WarmupCycles is the mean unmeasured warmup prefix per seed: the
-	// fixed Warmup window, or the MSER-truncated warmup in adaptive mode
-	// (zero for a run short-circuited as saturated before measuring).
+	// fixed Warmup window, or the MSER-truncated length in adaptive mode
+	// (zero for a run cut short as saturated before measuring).
 	WarmupCycles int64
-	// Saturated reports that at least one seed's run was cut short by
-	// the adaptive saturation detector (non-converging backlog growth or
-	// persistent source throttling): the point does not reach a steady
-	// state at this load and its averages describe a growing transient.
+	// Saturated reports that the adaptive saturation detector cut at
+	// least one seed short (non-converging backlog growth or persistent
+	// source throttling): the point does not reach a steady state at
+	// this load and its averages describe a growing transient.
 	Saturated bool
-	// Converged reports that every seed reached the relative-CI target.
-	// Meaningful only in adaptive mode; always false in fixed mode.
+	// Converged reports that every seed reached the relative-CI target
+	// (adaptive mode only; always false in fixed mode).
 	Converged bool
 	// Congestion-management activity over the measurement windows,
-	// summed across seeds; all zero unless the run's router config
-	// enables congestion management (router.CongestionConfig).
-	Marked    uint64 // delivered packets carrying ECN marks
-	Notified  uint64 // notifications delivered back to sources
-	Throttled uint64 // injection attempts deferred/suppressed by AIMD
-	Shed      uint64 // injection attempts shed at the NIC shed cap
+	// summed across seeds; all zero unless the router config enables
+	// congestion management (router.CongestionConfig). Marked counts
+	// delivered packets carrying ECN marks, Notified the notifications
+	// replayed to sources, Throttled the injection attempts deferred or
+	// suppressed by the AIMD throttle, and Shed the injection attempts
+	// dropped at the NIC shed cap.
+	Marked, Notified, Throttled, Shed uint64
 	// Fault-injection activity over the measurement windows, summed
-	// across seeds; all zero unless the run's router config schedules
-	// faults (router.FaultConfig).
-	Dropped    uint64 // packets killed on failing links/routers
-	Retried    uint64 // dropped packets successfully re-injected
-	Unroutable uint64 // packets aimed at (or caught in) a partition
+	// across seeds; all zero unless the router config schedules faults
+	// (router.FaultConfig). Dropped counts packets killed on failing
+	// links or routers, Retried the killed packets successfully
+	// re-injected by their sources, and Unroutable the packets aimed at
+	// (or caught inside) a partitioned region of the fabric.
+	Dropped, Retried, Unroutable uint64
 }
 
 // latencyHistCap bounds the latency histogram; latencies beyond it still
 // count toward the mean but saturate percentile reporting.
 const latencyHistCap = 1 << 15
 
-// steadySeed runs one seed's steady-state experiment. Latency summary
-// fields (AvgLatency, P50, P99, OverflowFrac) are left zero: they are
-// computed by reduceSteady from the returned histogram, so multi-seed
-// reductions can merge histograms and take exact cross-seed percentiles
-// instead of averaging per-seed ones.
-func steadySeed(ctx context.Context, c Config, w Workload, load float64, warmup, measure int64, seed uint64) (SteadyResult, *stats.Histogram, error) {
+// steadySeed is one seed of a steady-state point: the network, its
+// injector and the delivery accounting. The fixed-window and adaptive
+// modes share it and differ only in the loop that decides when warmup
+// ends (beginMeasure) and when measurement stops (fixed, adaptive).
+type steadySeed struct {
+	net *router.Network
+	inj *traffic.Injector
+	// Delivery aggregates. beginMeasure resets them, so after the run
+	// they cover the measurement window (the whole run if it never
+	// began measuring).
+	hist                       *stats.Histogram
+	hops                       stats.Welford
+	phits, misG, misL, counted uint64
+	// Current-bucket accumulators; the adaptive loop zeroes them at
+	// every bucket start.
+	bSum         float64
+	bCnt, bPhits uint64
+	// Counter snapshot at the warmup boundary (zero until beginMeasure).
+	busyLocal0, busyGlobal0               int64
+	marked0, notified0, shed0, throttled0 uint64
+	dropped0, retried0, unroutable0       uint64
+}
+
+func newSteadySeed(c Config, w Workload, load float64, seed uint64) (*steadySeed, error) {
 	net, err := BuildNetwork(c, seed)
 	if err != nil {
-		return SteadyResult{}, nil, err
+		return nil, err
 	}
 	pat, err := w.Pattern(net.Topo)
 	if err != nil {
-		return SteadyResult{}, nil, err
+		return nil, err
 	}
 	inj, err := w.injector(net, traffic.Constant(pat), load, seed^0x9E3779B97F4A7C15)
 	if err != nil {
-		return SteadyResult{}, nil, err
+		return nil, err
 	}
-	var (
-		hist    = stats.NewHistogram(latencyHistCap)
-		hops    stats.Welford
-		phits   uint64
-		misG    uint64
-		misL    uint64
-		counted uint64
-	)
-	measStart := warmup
-	net.OnDeliver = func(p *router.Packet, now int64) {
-		if now < measStart {
-			return
-		}
-		hist.Add(now - p.GenTime)
-		hops.Add(float64(p.TotalHops))
-		phits += uint64(p.Size)
-		if p.GlobalMisroute {
-			misG++
-		}
-		if p.LocalMisroutes > 0 {
-			misL++
-		}
-		counted++
+	s := &steadySeed{net: net, inj: inj, hist: stats.NewHistogram(latencyHistCap)}
+	net.OnDeliver = s.deliver
+	return s, nil
+}
+
+func (s *steadySeed) deliver(p *router.Packet, now int64) {
+	lat := now - p.GenTime
+	s.bSum += float64(lat)
+	s.bCnt++
+	s.bPhits += uint64(p.Size)
+	s.hist.Add(lat)
+	s.hops.Add(float64(p.TotalHops))
+	s.phits += uint64(p.Size)
+	if p.GlobalMisroute {
+		s.misG++
 	}
-	var busyLocal0, busyGlobal0 int64
-	var marked0, notified0, shed0, throttled0 uint64
-	var dropped0, retried0, unroutable0 uint64
-	// The network starts at cycle 0, so net.Now() doubles as the loop
-	// counter. Quiet spans are elided (elideStep), capped at the warmup
-	// boundary so the counter snapshot lands exactly at cycle `warmup`;
-	// skipped cycles deliver nothing and mutate no counter, so the
-	// result is bit-identical to stepping them.
-	for cyc := net.Now(); cyc < warmup+measure; cyc = net.Now() {
-		if cyc == warmup {
-			_, busyLocal0, busyGlobal0 = net.LinkBusy()
-			marked0, notified0, shed0 = net.NumMarked, net.NumNotified, net.NumShed
-			throttled0 = inj.Throttled()
-			dropped0, retried0, unroutable0 = net.NumDropped, inj.Retried(), net.NumUnroutable
-		}
-		if cyc%adaptiveBucket == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return SteadyResult{}, nil, err
-			}
-		}
-		bound := warmup + measure
-		if cyc < warmup {
-			bound = warmup
-		}
-		if elideStep(net, inj, bound) {
-			continue
-		}
-		inj.Cycle()
-		net.Step()
+	if p.LocalMisroutes > 0 {
+		s.misL++
 	}
-	_, busyLocal1, busyGlobal1 := net.LinkBusy()
+	s.counted++
+}
+
+// beginMeasure ends warmup: it discards the delivery aggregates and
+// snapshots every counter the result reports as a measurement-window
+// delta.
+func (s *steadySeed) beginMeasure() {
+	s.hist.Reset()
+	s.hops.Reset()
+	s.phits, s.misG, s.misL, s.counted = 0, 0, 0, 0
+	net := s.net
+	_, s.busyLocal0, s.busyGlobal0 = net.LinkBusy()
+	s.marked0, s.notified0, s.shed0 = net.NumMarked, net.NumNotified, net.NumShed
+	s.throttled0 = s.inj.Throttled()
+	s.dropped0, s.retried0, s.unroutable0 = net.NumDropped, s.inj.Retried(), net.NumUnroutable
+}
+
+// fixed runs the fixed-window mode: b.Warmup unmeasured cycles, then a
+// b.Measure-cycle measurement window.
+func (s *steadySeed) fixed(b Budget) (SteadyResult, error) {
+	if err := runTo(b.Ctx, s.net, s.inj, b.Warmup); err != nil {
+		return SteadyResult{}, err
+	}
+	s.beginMeasure()
+	if err := runTo(b.Ctx, s.net, s.inj, b.Warmup+b.Measure); err != nil {
+		return SteadyResult{}, err
+	}
+	return s.result(b.Measure, b.Warmup), nil
+}
+
+// result assembles the seed's measurement over the last `measure`
+// cycles, after a `warmup`-cycle prefix. The latency summary fields
+// (AvgLatency, P50, P99, OverflowFrac) stay zero: reduceSteady computes
+// them from the merged histograms, so cross-seed percentiles are exact
+// instead of averages of per-seed ones.
+func (s *steadySeed) result(measure, warmup int64) SteadyResult {
+	net := s.net
+	_, busyLocal, busyGlobal := net.LinkBusy()
 	_, nLocal, nGlobal := net.LinkCounts()
-	res := SteadyResult{
-		Algo:           c.Algo.String(),
-		Workload:       w.Name(),
-		Load:           load,
-		Accepted:       float64(phits) / (float64(measure) * float64(net.Topo.Nodes)),
-		Delivered:      counted,
-		AvgHops:        hops.Mean(),
-		UtilLocal:      float64(busyLocal1-busyLocal0) / (float64(measure) * float64(nLocal)),
-		UtilGlobal:     float64(busyGlobal1-busyGlobal0) / (float64(measure) * float64(nGlobal)),
+	r := SteadyResult{
+		Accepted:       float64(s.phits) / (float64(measure) * float64(net.Topo.Nodes)),
+		Delivered:      s.counted,
+		AvgHops:        s.hops.Mean(),
+		UtilLocal:      float64(busyLocal-s.busyLocal0) / (float64(measure) * float64(nLocal)),
+		UtilGlobal:     float64(busyGlobal-s.busyGlobal0) / (float64(measure) * float64(nGlobal)),
 		Seeds:          1,
 		MeasuredCycles: measure,
 		WarmupCycles:   warmup,
-		Marked:         net.NumMarked - marked0,
-		Notified:       net.NumNotified - notified0,
-		Throttled:      inj.Throttled() - throttled0,
-		Shed:           net.NumShed - shed0,
-		Dropped:        net.NumDropped - dropped0,
-		Retried:        inj.Retried() - retried0,
-		Unroutable:     net.NumUnroutable - unroutable0,
+		Marked:         net.NumMarked - s.marked0,
+		Notified:       net.NumNotified - s.notified0,
+		Throttled:      s.inj.Throttled() - s.throttled0,
+		Shed:           net.NumShed - s.shed0,
+		Dropped:        net.NumDropped - s.dropped0,
+		Retried:        s.inj.Retried() - s.retried0,
+		Unroutable:     net.NumUnroutable - s.unroutable0,
 	}
-	if counted > 0 {
-		res.MisroutedGlobal = float64(misG) / float64(counted)
-		res.MisroutedLocal = float64(misL) / float64(counted)
+	if s.counted > 0 {
+		r.MisroutedGlobal = float64(s.misG) / float64(s.counted)
+		r.MisroutedLocal = float64(s.misL) / float64(s.counted)
 	}
-	return res, hist, nil
+	return r
+}
+
+// measureSeed runs one seed of a steady-state point under the budget's
+// measurement mode and returns its result with the latency histogram
+// reduceSteady merges.
+func measureSeed(c Config, w Workload, load float64, b Budget, seed uint64) (SteadyResult, *stats.Histogram, error) {
+	s, err := newSteadySeed(c, w, load, seed)
+	if err != nil {
+		return SteadyResult{}, nil, err
+	}
+	var r SteadyResult
+	if b.Adaptive {
+		r, err = s.adaptive(b, w.Source)
+	} else {
+		r, err = s.fixed(b)
+	}
+	if err != nil {
+		return SteadyResult{}, nil, err
+	}
+	r.Algo, r.Workload, r.Load = c.Algo.String(), w.Name(), load
+	return r, s.hist, nil
 }
 
 // ctxErr reports a cancelled context (nil contexts never cancel); the
@@ -472,83 +517,71 @@ func ctxErr(ctx context.Context) error {
 func seedFor(i int) uint64 { return uint64(i)*0x1000003 + 1 }
 
 // RunSteady measures steady-state latency and throughput at one offered
-// load: `warmup` cycles are simulated unmeasured, then deliveries during
-// `measure` cycles are recorded; `seeds` independent runs execute in
-// parallel and are averaged (scalars) or merged (latency histograms, so
-// cross-seed percentiles are exact).
-func RunSteady(c Config, w Workload, load float64, warmup, measure int64, seeds int) (SteadyResult, error) {
-	return RunSteadyBudget(c, w, load, Budget{Warmup: warmup, Measure: measure, Seeds: seeds})
-}
-
-// RunSteadyBudget is RunSteady driven by a Budget, the entry point that
-// also carries the adaptive-measurement knobs (Budget.Adaptive,
-// CIRelWidth, MaxMeasure). With Adaptive unset it is bit-identical to
-// RunSteady over the same windows.
-func RunSteadyBudget(c Config, w Workload, load float64, b Budget) (SteadyResult, error) {
-	rs, err := SweepSteadyBudget(c, w, []float64{load}, b)
+// load; see SweepSteady for the contract.
+func RunSteady(c Config, w Workload, load float64, b Budget) (SteadyResult, error) {
+	rs, err := SweepSteady(c, w, []float64{load}, b)
 	if err != nil {
 		return SteadyResult{}, err
 	}
 	return rs[0], nil
 }
 
-// SweepSteady measures a whole load grid with fixed windows; see
-// SweepSteadyBudget for the full contract and the adaptive mode.
-func SweepSteady(c Config, w Workload, loads []float64, warmup, measure int64, seeds int) ([]SteadyResult, error) {
-	return SweepSteadyBudget(c, w, loads, Budget{Warmup: warmup, Measure: measure, Seeds: seeds})
-}
-
-// SweepSteadyBudget measures a whole load grid. The load×seed grid is
-// flattened through one bounded worker pool, so a sweep never
-// oversubscribes the machine the way per-load pools would. When the
-// grid is at least GOMAXPROCS wide, grid parallelism alone saturates
-// the machine and every run steps sequentially; a narrower grid (the
-// common paper-scale case: few loads, few seeds) spreads the idle cores
-// inside each run as shard workers (router.Config.Workers — results are
-// cycle-for-cycle identical at any worker count). An explicit
-// c.Router.Workers is respected instead of the automatic split (b.Workers
-// is used when the config leaves it unset). The returned slice is
+// SweepSteady measures a whole load grid. Each (load, seed) run warms
+// up unmeasured for b.Warmup cycles and then records deliveries for
+// b.Measure cycles; b.Seeds runs per load are averaged (scalars) or
+// merged (latency histograms, so cross-seed percentiles are exact). With
+// b.Adaptive set, each run uses the adaptive measurement engine instead
+// (MSER warmup truncation, batch-means CI stopping, saturation
+// short-circuit; see steadySeed.adaptive). The returned slice is
 // ordered like loads.
 //
-// With b.Adaptive set, each (load, seed) point runs the adaptive
-// measurement engine (MSER warmup truncation, batch-means CI stopping,
-// saturation short-circuit) instead of the fixed windows; see
-// adaptiveSeed. The fixed path is the default and is bit-identical to
-// the pre-adaptive implementation.
-func SweepSteadyBudget(c Config, w Workload, loads []float64, b Budget) ([]SteadyResult, error) {
+// The load×seed grid runs through one bounded worker pool (forEachRun).
+// The config's Router.Workers, or b.Workers when it is unset, is the
+// per-run shard worker count; 0 splits GOMAXPROCS automatically.
+// Results are identical at any worker count.
+func SweepSteady(c Config, w Workload, loads []float64, b Budget) ([]SteadyResult, error) {
+	pts := make([]steadyPoint, len(loads))
+	for i, l := range loads {
+		pts[i] = steadyPoint{c, w, l}
+	}
+	return runGrid(pts, b)
+}
+
+// steadyPoint is one point of a steady-state grid.
+type steadyPoint struct {
+	c    Config
+	w    Workload
+	load float64
+}
+
+// runGrid measures every point over b.Seeds seeds. All (point, seed)
+// runs share one pool; each point's seeds are then reduced in seed
+// order. The points share one router config up to the mechanism (the
+// first point's sets the worker split). The result is ordered like pts.
+func runGrid(pts []steadyPoint, b Budget) ([]SteadyResult, error) {
 	b = b.steadyDefaults()
 	if err := b.validateSteady(); err != nil {
 		return nil, err
 	}
-	if len(loads) == 0 {
+	if len(pts) == 0 {
 		return nil, fmt.Errorf("sim: empty load grid")
 	}
-	tasks := len(loads) * b.Seeds
-	requested := c.Router.Workers
-	if requested == 0 {
-		requested = b.Workers
-	}
-	if requested == 0 && !autoShardable(c.Router) {
-		requested = 1
-	}
-	perRun, taskWorkers := planWorkers(requested, tasks)
-	c.Router.Workers = perRun
+	tasks := len(pts) * b.Seeds
 	results := make([]SteadyResult, tasks)
 	hists := make([]*stats.Histogram, tasks)
-	err := forEachTaskN(tasks, taskWorkers, func(k int) error {
-		if err := ctxErr(b.Ctx); err != nil {
-			return err
-		}
-		r, h, err := measureSeed(c, w, loads[k/b.Seeds], b, seedFor(k%b.Seeds))
-		results[k], hists[k] = r, h
+	err := forEachRun(pts[0].c, b, tasks, func(k, workers int) error {
+		p := pts[k/b.Seeds]
+		p.c.Router.Workers = workers
+		var err error
+		results[k], hists[k], err = measureSeed(p.c, p.w, p.load, b, seedFor(k%b.Seeds))
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SteadyResult, len(loads))
-	for li := range loads {
-		out[li] = reduceSteady(results[li*b.Seeds:(li+1)*b.Seeds], hists[li*b.Seeds:(li+1)*b.Seeds])
+	out := make([]SteadyResult, len(pts))
+	for i := range pts {
+		out[i] = reduceSteady(results[i*b.Seeds:(i+1)*b.Seeds], hists[i*b.Seeds:(i+1)*b.Seeds])
 	}
 	return out, nil
 }
@@ -622,9 +655,12 @@ func reduceSteady(rs []SteadyResult, hists []*stats.Histogram) SteadyResult {
 // TransientResult is the averaged trace of a traffic-switch experiment:
 // per-bucket mean latency and globally-misrouted percentage of the
 // packets delivered in that bucket, on a time axis relative to the
-// switch instant (negative = before the switch).
+// switch instant (negative = before the switch). The public package
+// re-exports it as cbar.TransientResult.
 type TransientResult struct {
-	Algo        string
+	// Algo names the traced mechanism (cbar's Algorithm.String form).
+	Algo string
+	// BucketWidth is the trace averaging width in cycles.
 	BucketWidth int64
 	// Times are bucket centers in cycles relative to the switch.
 	Times []int64
@@ -636,9 +672,11 @@ type TransientResult struct {
 	MisroutedPct []float64
 }
 
-// RunTransient warms the network with workload `before` for `warmup`
-// cycles, switches to `after`, and traces deliveries from `pre` cycles
-// before the switch until `post` cycles after it, averaged over seeds.
+// RunTransient warms the network with workload `before` for
+// b.TransientWarmup cycles, switches to `after`, and traces deliveries
+// from b.Pre cycles before the switch until b.Post cycles after it in
+// b.Bucket-wide buckets, averaged over b.Seeds runs. The seed runs share
+// one pool with SweepSteady's worker split and cancellation (b.Ctx).
 //
 // Only the destination pattern switches: the arrival process is
 // `before`'s for the whole run. An `after` workload carrying a
@@ -649,40 +687,24 @@ type TransientResult struct {
 // the pattern change coincides with a partial-array distribution, the
 // scenario of Figure 7 ("the traffic changed exactly when the partial
 // counters were being distributed").
-func RunTransient(c Config, before, after Workload, load float64, warmup, pre, post, bucket int64, seeds int) (TransientResult, error) {
-	return RunTransientCtx(nil, c, before, after, load, warmup, pre, post, bucket, seeds)
-}
-
-// RunTransientCtx is RunTransient with cooperative cancellation: the
-// per-seed cycle loops poll ctx once per measurement bucket and the
-// seed pool between tasks. A nil ctx never cancels.
-func RunTransientCtx(ctx context.Context, c Config, before, after Workload, load float64, warmup, pre, post, bucket int64, seeds int) (TransientResult, error) {
-	tb := Budget{TransientWarmup: warmup, Pre: pre, Post: post, Bucket: bucket, Seeds: seeds}
-	if err := tb.validateTransient(); err != nil {
+func RunTransient(c Config, before, after Workload, load float64, b Budget) (TransientResult, error) {
+	if err := b.validateTransient(); err != nil {
 		return TransientResult{}, err
 	}
 	if !after.Source.homogeneous() && after.Source != before.Source {
 		return TransientResult{}, fmt.Errorf("sim: transient arrival process is %q's for the whole run; %q's source spec would be ignored — put it on the pre-switch workload",
 			before.Name(), after.Name())
 	}
+	warmup := b.TransientWarmup
 	if p := c.Opts.ECtNPeriod; p > 0 && warmup%p != 0 {
 		warmup += p - warmup%p
 	}
-	nBuckets := int((pre + post) / bucket)
-	latSeries := make([]*stats.TimeSeries, seeds)
-	misSeries := make([]*stats.TimeSeries, seeds)
-	// Like SweepSteady: seed-grid parallelism when there are enough
-	// seeds, intra-run shard workers for the idle cores when not.
-	requested := c.Router.Workers
-	if requested == 0 && !autoShardable(c.Router) {
-		requested = 1
-	}
-	perRun, taskWorkers := planWorkers(requested, seeds)
-	c.Router.Workers = perRun
-	err := forEachTaskN(seeds, taskWorkers, func(i int) error {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
+	nBuckets := int((b.Pre + b.Post) / b.Bucket)
+	latSeries := make([]*stats.TimeSeries, b.Seeds)
+	misSeries := make([]*stats.TimeSeries, b.Seeds)
+	err := forEachRun(c, b, b.Seeds, func(i, workers int) error {
+		c := c
+		c.Router.Workers = workers
 		seed := uint64(i)*0x2000003 + 17
 		net, err := BuildNetwork(c, seed)
 		if err != nil {
@@ -709,8 +731,8 @@ func RunTransientCtx(ctx context.Context, c Config, before, after Workload, load
 		if err != nil {
 			return err
 		}
-		lat := stats.NewTimeSeries(-pre, bucket, nBuckets)
-		mis := stats.NewTimeSeries(-pre, bucket, nBuckets)
+		lat := stats.NewTimeSeries(-b.Pre, b.Bucket, nBuckets)
+		mis := stats.NewTimeSeries(-b.Pre, b.Bucket, nBuckets)
 		net.OnDeliver = func(p *router.Packet, now int64) {
 			rel := now - warmup
 			lat.Add(rel, float64(now-p.GenTime))
@@ -720,44 +742,53 @@ func RunTransientCtx(ctx context.Context, c Config, before, after Workload, load
 			}
 			mis.Add(rel, v)
 		}
-		// Quiet spans elide bit-identically (long-OFF bursty warmups are
-		// the motivating case). The destination-pattern switch at cycle
-		// `warmup` needs no jump cap: arrival times never depend on the
-		// pattern, and a jump lands on the next arrival, which then draws
-		// its destination from the schedule in force at that cycle.
-		for cyc := net.Now(); cyc < warmup+post; cyc = net.Now() {
-			if cyc%adaptiveBucket == 0 {
-				if err := ctxErr(ctx); err != nil {
-					return err
-				}
-			}
-			if elideStep(net, inj, warmup+post) {
-				continue
-			}
-			inj.Cycle()
-			net.Step()
-		}
 		latSeries[i] = lat
 		misSeries[i] = mis
-		return nil
+		// The destination-pattern switch at cycle `warmup` needs no jump
+		// cap: arrival times never depend on the pattern, and a jump
+		// lands on the next arrival, which then draws its destination
+		// from the schedule in force at that cycle.
+		return runTo(b.Ctx, net, inj, warmup+b.Post)
 	})
 	if err != nil {
 		return TransientResult{}, err
 	}
-	for i := 1; i < seeds; i++ {
+	for i := 1; i < b.Seeds; i++ {
 		latSeries[0].Merge(latSeries[i])
 		misSeries[0].Merge(misSeries[i])
 	}
-	res := TransientResult{Algo: c.Algo.String(), BucketWidth: bucket}
+	res := TransientResult{Algo: c.Algo.String(), BucketWidth: b.Bucket}
 	for i := 0; i < latSeries[0].Buckets(); i++ {
 		if latSeries[0].CountAt(i) == 0 {
 			continue
 		}
-		res.Times = append(res.Times, latSeries[0].BucketTime(i)+bucket/2)
+		res.Times = append(res.Times, latSeries[0].BucketTime(i)+b.Bucket/2)
 		res.Latency = append(res.Latency, latSeries[0].Mean(i))
 		res.MisroutedPct = append(res.MisroutedPct, misSeries[0].Mean(i))
 	}
 	return res, nil
+}
+
+// forEachRun is the one pool every multi-run entry point (SweepSteady's
+// grid, RunTransient's seeds) runs through: it runs f(0..tasks-1) with
+// the per-run shard worker count and checks b.Ctx before every task.
+// The worker request is c.Router.Workers, else b.Workers; 0 splits
+// GOMAXPROCS automatically (planWorkers).
+func forEachRun(c Config, b Budget, tasks int, f func(i, workers int) error) error {
+	requested := c.Router.Workers
+	if requested == 0 {
+		requested = b.Workers
+	}
+	if requested == 0 && !autoShardable(c.Router) {
+		requested = 1
+	}
+	perRun, taskWorkers := planWorkers(requested, tasks)
+	return forEachTaskN(tasks, taskWorkers, func(i int) error {
+		if err := ctxErr(b.Ctx); err != nil {
+			return err
+		}
+		return f(i, perRun)
+	})
 }
 
 // autoShardable reports whether a run with this router config may be
@@ -800,21 +831,13 @@ func planWorkers(requested, tasks int) (perRun, taskWorkers int) {
 	return perRun, taskWorkers
 }
 
-// forEachTask runs f(0..n-1) on up to GOMAXPROCS goroutines and returns
-// the first error. It is the one bounded worker pool every repeat/grid
-// entry point funnels through, so nested parallelism cannot multiply
-// into more than GOMAXPROCS concurrently-simulated networks.
-func forEachTask(n int, f func(i int) error) error {
-	return forEachTaskN(n, runtime.GOMAXPROCS(0), f)
-}
-
-// forEachTaskN is forEachTask with an explicit worker-pool size (used
-// when each task itself runs shard workers, so the product stays within
-// GOMAXPROCS). A panicking task is recovered in its worker and
-// converted to an error carrying the panic value and stack, which —
-// like any task error — cancels the tasks not yet started and is
-// returned to the caller; sibling workers finish their current task and
-// exit rather than wedging mid-sweep.
+// forEachTaskN runs f(0..n-1) on a pool of `workers` goroutines and
+// returns the first error; it is the pool underneath forEachRun, sized
+// so tasks × per-run shard workers stays within GOMAXPROCS. A panicking
+// task is recovered in its worker and converted to an error carrying
+// the panic value and stack, which — like any task error — cancels the
+// tasks not yet started and is returned to the caller; sibling workers
+// finish their current task and exit rather than wedging mid-sweep.
 func forEachTaskN(n, workers int, f func(i int) error) error {
 	if workers > n {
 		workers = n
@@ -866,11 +889,14 @@ func forEachTaskN(n, workers int, f func(i int) error) error {
 
 // MeanSaturatedContention runs the §VI-A diagnostic: uniform traffic at
 // the given (over)load with the Base mechanism, returning the mean
-// contention-counter value per output port averaged over the final
-// `sample` cycles. Under saturation the paper estimates it at the mean
-// number of VCs per input port (2.74 for the Table I router).
-func MeanSaturatedContention(c Config, load float64, warmup, sample int64, seed uint64) (float64, error) {
+// contention-counter value per output port averaged over the b.Measure
+// cycles that follow a b.Warmup-cycle warmup, for the first repeat's
+// seed. Under saturation the paper estimates it at the mean number of
+// VCs per input port (2.74 for the Table I router). b.Ctx cancels the
+// run at bucket granularity.
+func MeanSaturatedContention(c Config, load float64, b Budget) (float64, error) {
 	c.Algo = routing.Base
+	seed := seedFor(0)
 	net, err := BuildNetwork(c, seed)
 	if err != nil {
 		return 0, err
@@ -883,20 +909,24 @@ func MeanSaturatedContention(c Config, load float64, warmup, sample int64, seed 
 	if err != nil {
 		return 0, err
 	}
-	// Both loops step every cycle, deliberately un-elided: at a
-	// saturating load the network is never quiet (so elision could not
-	// fire anyway), and the sampling loop reads the contention counters
-	// once per cycle — its observable is the per-cycle trajectory
-	// itself, which a clock jump would undersample.
-	for cyc := int64(0); cyc < warmup; cyc++ {
-		inj.Cycle()
-		net.Step()
-	}
+	// The run steps every cycle, deliberately un-elided: at a saturating
+	// load the network is never quiet (so elision could not fire anyway),
+	// and the sampling phase reads the contention counters once per
+	// cycle — its observable is the per-cycle trajectory itself, which a
+	// clock jump would undersample.
 	var acc stats.Welford
 	ports := float64(net.Topo.Radix())
-	for cyc := int64(0); cyc < sample; cyc++ {
+	for cyc := int64(0); cyc < b.Warmup+b.Measure; cyc++ {
+		if cyc%adaptiveBucket == 0 {
+			if err := ctxErr(b.Ctx); err != nil {
+				return 0, err
+			}
+		}
 		inj.Cycle()
 		net.Step()
+		if cyc < b.Warmup {
+			continue
+		}
 		for _, r := range net.Routers {
 			acc.Add(float64(r.Contention.Sum()) / ports)
 		}

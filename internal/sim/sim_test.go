@@ -82,20 +82,20 @@ func TestWorkloadNamesAndPatterns(t *testing.T) {
 }
 
 func TestRunSteadyValidation(t *testing.T) {
-	if _, err := RunSteady(tinyCfg(routing.Min), UN(), 0.1, -1, 100, 1); err == nil {
+	if _, err := RunSteady(tinyCfg(routing.Min), UN(), 0.1, Budget{Warmup: -1, Measure: 100, Seeds: 1}); err == nil {
 		t.Fatal("negative warmup accepted")
 	}
-	if _, err := RunSteady(tinyCfg(routing.Min), UN(), 0.1, 10, 0, 1); err == nil {
+	if _, err := RunSteady(tinyCfg(routing.Min), UN(), 0.1, Budget{Warmup: 10, Measure: 0, Seeds: 1}); err == nil {
 		t.Fatal("zero measure accepted")
 	}
-	if _, err := RunSteady(tinyCfg(routing.Min), UN(), 1.7, 10, 10, 1); err == nil {
+	if _, err := RunSteady(tinyCfg(routing.Min), UN(), 1.7, Budget{Warmup: 10, Measure: 10, Seeds: 1}); err == nil {
 		t.Fatal("load > 1 accepted")
 	}
 }
 
 func TestRunSteadyBasics(t *testing.T) {
 	t.Parallel()
-	r, err := RunSteady(tinyCfg(routing.Min), UN(), 0.2, 800, 800, 1)
+	r, err := RunSteady(tinyCfg(routing.Min), UN(), 0.2, Budget{Warmup: 800, Measure: 800, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +127,15 @@ func TestRunSteadyBasics(t *testing.T) {
 
 func TestRunSteadyDeterministicAndSeedsAveraged(t *testing.T) {
 	t.Parallel()
-	a, err := RunSteady(tinyCfg(routing.Base), UN(), 0.2, 500, 500, 1)
+	a, err := RunSteady(tinyCfg(routing.Base), UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := RunSteady(tinyCfg(routing.Base), UN(), 0.2, 500, 500, 1)
+	b, _ := RunSteady(tinyCfg(routing.Base), UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 1})
 	if a.AvgLatency != b.AvgLatency || a.Delivered != b.Delivered {
 		t.Fatalf("same-seed runs differ: %+v vs %+v", a, b)
 	}
-	m, err := RunSteady(tinyCfg(routing.Base), UN(), 0.2, 500, 500, 3)
+	m, err := RunSteady(tinyCfg(routing.Base), UN(), 0.2, Budget{Warmup: 500, Measure: 500, Seeds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFig5aShape_UniformLatency(t *testing.T) {
 	const load, warm, meas = 0.2, 1000, 1000
 	lat := map[routing.Algo]float64{}
 	for _, a := range []routing.Algo{routing.Min, routing.Base, routing.ECtN, routing.OLM, routing.PB} {
-		r, err := RunSteady(tinyCfg(a), UN(), load, warm, meas, 2)
+		r, err := RunSteady(tinyCfg(a), UN(), load, Budget{Warmup: warm, Measure: meas, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestFig5bShape_AdversarialThroughput(t *testing.T) {
 	const load, warm, meas = 0.4, 1500, 1000
 	acc := map[routing.Algo]float64{}
 	for _, a := range []routing.Algo{routing.Min, routing.Valiant, routing.Base, routing.ECtN, routing.Hybrid} {
-		r, err := RunSteady(tinyCfg(a), ADV(1), load, warm, meas, 2)
+		r, err := RunSteady(tinyCfg(a), ADV(1), load, Budget{Warmup: warm, Measure: meas, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestFig7Shape_TransientAdaptation(t *testing.T) {
 	t.Parallel()
 	const load = 0.35
 	run := func(a routing.Algo) TransientResult {
-		r, err := RunTransient(tinyCfg(a), UN(), ADV(1), load, 1200, 100, 600, 20, 2)
+		r, err := RunTransient(tinyCfg(a), UN(), ADV(1), load, Budget{TransientWarmup: 1200, Pre: 100, Post: 600, Bucket: 20, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestFig9Shape_ECtNFlatAfterConvergence(t *testing.T) {
 	t.Parallel()
 	const load = 0.2
 	run := func(a routing.Algo) TransientResult {
-		r, err := RunTransient(tinyCfg(a), UN(), ADV(1), load, 1200, 0, 1600, 50, 2)
+		r, err := RunTransient(tinyCfg(a), UN(), ADV(1), load, Budget{TransientWarmup: 1200, Pre: 0, Post: 1600, Bucket: 50, Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestFig9Shape_ECtNFlatAfterConvergence(t *testing.T) {
 func TestMeanSaturatedContention(t *testing.T) {
 	t.Parallel()
 	c := tinyCfg(routing.Base)
-	got, err := MeanSaturatedContention(c, 0.95, 1500, 300, 1)
+	got, err := MeanSaturatedContention(c, 0.95, Budget{Warmup: 1500, Measure: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,17 +311,17 @@ func TestMeanSaturatedContention(t *testing.T) {
 
 func TestRunTransientValidation(t *testing.T) {
 	c := tinyCfg(routing.Base)
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 50, 100, 600, 10, 1); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, Budget{TransientWarmup: 50, Pre: 100, Post: 600, Bucket: 10, Seeds: 1}); err == nil {
 		t.Fatal("warmup < pre accepted")
 	}
-	if _, err := RunTransient(c, UN(), ADV(1), 0.2, 500, 100, 5, 10, 1); err == nil {
+	if _, err := RunTransient(c, UN(), ADV(1), 0.2, Budget{TransientWarmup: 500, Pre: 100, Post: 5, Bucket: 10, Seeds: 1}); err == nil {
 		t.Fatal("post < bucket accepted")
 	}
 }
 
 func TestRunTransientTimesRelative(t *testing.T) {
 	t.Parallel()
-	r, err := RunTransient(tinyCfg(routing.Min), UN(), ADV(1), 0.1, 600, 100, 200, 10, 1)
+	r, err := RunTransient(tinyCfg(routing.Min), UN(), ADV(1), 0.1, Budget{TransientWarmup: 600, Pre: 100, Post: 200, Bucket: 10, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestRunTransientTimesRelative(t *testing.T) {
 }
 
 func TestForEachTaskErrorPropagates(t *testing.T) {
-	err := forEachTask(8, func(i int) error {
+	err := forEachTaskN(8, 4, func(i int) error {
 		if i == 3 {
 			return errTest
 		}
@@ -365,7 +365,7 @@ func (*simTestError) Error() string { return "boom" }
 // and utilizations are sane fractions.
 func TestUtilizationUnderADV(t *testing.T) {
 	t.Parallel()
-	r, err := RunSteady(tinyCfg(routing.Min), ADV(1), 0.4, 800, 800, 1)
+	r, err := RunSteady(tinyCfg(routing.Min), ADV(1), 0.4, Budget{Warmup: 800, Measure: 800, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,11 +383,11 @@ func TestUtilizationUnderADV(t *testing.T) {
 // offered load.
 func TestUtilizationScalesWithLoad(t *testing.T) {
 	t.Parallel()
-	lo, err := RunSteady(tinyCfg(routing.Min), UN(), 0.1, 600, 600, 1)
+	lo, err := RunSteady(tinyCfg(routing.Min), UN(), 0.1, Budget{Warmup: 600, Measure: 600, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := RunSteady(tinyCfg(routing.Min), UN(), 0.3, 600, 600, 1)
+	hi, err := RunSteady(tinyCfg(routing.Min), UN(), 0.3, Budget{Warmup: 600, Measure: 600, Seeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"cbar/internal/rng"
 	"cbar/internal/router"
-	"cbar/internal/routing"
 	"cbar/internal/traffic"
 )
 
@@ -52,32 +51,15 @@ func ElideIdleWarm(net *router.Network, inj *traffic.Injector) error {
 	return nil
 }
 
-// NewStepBench builds a network and injector at the given scale,
-// algorithm and uniform offered load, applies the step modes — fullScan
-// selects the every-component fabric loop, refScan the full-recompute
-// reference algorithm state (polled PB flags, combine-every-group ECtN)
-// — and warms the network into steady state.
-func NewStepBench(s Scale, algo routing.Algo, load float64, fullScan, refScan bool) (*router.Network, *traffic.Injector, error) {
-	return NewStepBenchWorkload(s, algo, UN(), load, fullScan, refScan)
-}
-
-// NewStepBenchWorkload is NewStepBench for an arbitrary workload
-// (pattern and arrival process), so the benchmark suite can pin the
-// cost of the stateful calendar injector beside the Bernoulli fast
-// path at the same operating points.
-func NewStepBenchWorkload(s Scale, algo routing.Algo, w Workload, load float64, fullScan, refScan bool) (*router.Network, *traffic.Injector, error) {
-	return NewStepBenchWorkers(s, algo, w, load, fullScan, refScan, 1)
-}
-
-// NewStepBenchWorkers is NewStepBenchWorkload with an explicit shard
-// worker count, so the benchmark suite can pin the parallel stepper's
-// cycles/sec beside the sequential stepper at the same operating points
-// (the two are cycle-for-cycle identical, so every other knob is
-// comparable).
-func NewStepBenchWorkers(s Scale, algo routing.Algo, w Workload, load float64, fullScan, refScan bool, workers int) (*router.Network, *traffic.Injector, error) {
-	c := NewConfig(s.Params(), algo)
-	c.Opts.ReferenceScan = refScan
-	c.Router.Workers = workers
+// NewStepBench builds a network and injector for config c under
+// workload w (pattern and arrival process) at the offered load, and
+// warms the network into steady state. The config carries the step
+// modes: Opts.ReferenceScan selects the full-recompute reference
+// algorithm state (polled PB flags, combine-every-group ECtN),
+// Router.Workers the shard-parallel stepper and Router.Faults a fault
+// plan; fullScan selects the every-component fabric loop
+// (router.Network.FullScan).
+func NewStepBench(c Config, w Workload, load float64, fullScan bool) (*router.Network, *traffic.Injector, error) {
 	net, err := BuildNetwork(c, 1)
 	if err != nil {
 		return nil, nil, err
@@ -88,35 +70,6 @@ func NewStepBenchWorkers(s Scale, algo routing.Algo, w Workload, load float64, f
 		return nil, nil, err
 	}
 	inj, err := w.injector(net, traffic.Constant(pat), load, 2)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < StepBenchWarmup; i++ {
-		inj.Cycle()
-		net.Step()
-	}
-	return net, inj, nil
-}
-
-// NewStepBenchFaults builds a step benchmark with a quiescent fault
-// plan: one LinkDown scheduled far past any benchmark horizon, so the
-// fault engine is allocated and its per-cycle pending check runs, but
-// no event ever fires. Pinned beside the plain idle entry, the delta is
-// the fault layer's hot-path overhead — which must stay ~zero.
-func NewStepBenchFaults(s Scale, algo routing.Algo, load float64) (*router.Network, *traffic.Injector, error) {
-	c := NewConfig(s.Params(), algo)
-	c.Router.Faults = router.FaultConfig{Events: []router.FaultEvent{
-		{Kind: router.LinkDown, Router: 0, Port: int16(s.Params().P), Cycle: 1 << 40},
-	}}
-	net, err := BuildNetwork(c, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	pat, err := UN().Pattern(net.Topo)
-	if err != nil {
-		return nil, nil, err
-	}
-	inj, err := traffic.NewInjector(net, traffic.Constant(pat), load, 2)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -127,6 +127,12 @@ func (h *Histogram) Add(v int64) {
 	h.bins[v]++
 }
 
+// Reset discards every sample, keeping the bins for reuse.
+func (h *Histogram) Reset() {
+	clear(h.bins)
+	h.overflow, h.total, h.sum = 0, 0, 0
+}
+
 // Count returns the total number of samples.
 func (h *Histogram) Count() int64 { return h.total }
 

@@ -75,106 +75,11 @@ func scaleOf(c Config) sim.Scale {
 	}
 }
 
-// SteadyResult reports a steady-state measurement.
-type SteadyResult struct {
-	// Algo and Workload name the simulated mechanism and traffic pattern
-	// (Algorithm.String and the ParseTraffic spec forms).
-	Algo, Workload string
-	// Load is the offered load in phits/(node·cycle); with 8-phit
-	// packets and 10-byte phits at 1 GHz this is tenths of 10 GB/s.
-	Load float64
-	// AvgLatency is the mean packet latency in cycles, generation to
-	// tail delivery (source queueing included).
-	AvgLatency float64
-	// P50 and P99 are latency percentiles in cycles.
-	P50, P99 int64
-	// Accepted is the delivered throughput in phits/(node·cycle).
-	Accepted float64
-	// MisroutedGlobal is the fraction of delivered packets that took a
-	// nonminimal global hop; MisroutedLocal likewise for local hops.
-	MisroutedGlobal, MisroutedLocal float64
-	// AvgHops is the mean number of router-to-router hops.
-	AvgHops float64
-	// UtilLocal and UtilGlobal are the mean utilizations (0..1) of the
-	// local and global links over the measurement window — useful for
-	// spotting which tier saturates first (global links under ADV+1,
-	// source-group local links under ADV+h).
-	UtilLocal, UtilGlobal float64
-	// OverflowFrac is the fraction of measured latencies at or above
-	// the latency-histogram cap. Nonzero means the reported percentiles
-	// are saturated at the cap (the true tail is worse) — typical when
-	// the offered load exceeds the saturation throughput.
-	OverflowFrac float64
-	// Delivered counts packets measured across all seeds.
-	Delivered uint64
-	// Seeds is the number of averaged repeats.
-	Seeds int
-	// CIHalfLatency and CIHalfAccepted are the 95% confidence
-	// half-widths of AvgLatency and Accepted from the adaptive engine's
-	// batch-means estimator, combined across seeds (zero in fixed mode).
-	CIHalfLatency, CIHalfAccepted float64
-	// MeasuredCycles is the total number of measured cycles summed over
-	// all seeds — Measure x Seeds in fixed mode, whatever the stopping
-	// rule actually spent in adaptive mode.
-	MeasuredCycles int64
-	// WarmupCycles is the mean unmeasured warmup prefix per seed (the
-	// MSER-truncated length in adaptive mode).
-	WarmupCycles int64
-	// Saturated reports that the adaptive saturation detector cut at
-	// least one seed short: the point does not converge at this load
-	// and its averages describe a growing transient.
-	Saturated bool
-	// Converged reports that every seed reached the relative-CI target
-	// (adaptive mode only; always false in fixed mode).
-	Converged bool
-	// Congestion-management activity over the measurement windows,
-	// summed across seeds; all zero unless Config.Congestion is enabled.
-	// Marked counts delivered packets carrying ECN marks, Notified the
-	// notifications replayed to sources, Throttled the injection
-	// attempts deferred or suppressed by the AIMD throttle, and Shed the
-	// injection attempts dropped at the NIC shed cap.
-	Marked, Notified, Throttled, Shed uint64
-	// Fault-injection activity over the measurement windows, summed
-	// across seeds; all zero unless Config.Faults schedules faults.
-	// Dropped counts packets killed on failing links or routers, Retried
-	// the killed packets successfully re-injected by their sources, and
-	// Unroutable the packets aimed at (or caught inside) a partitioned
-	// region of the fabric.
-	Dropped, Retried, Unroutable uint64
-}
-
-func fromSimSteady(r sim.SteadyResult) SteadyResult {
-	return SteadyResult{
-		Algo:            r.Algo,
-		Workload:        r.Workload,
-		Load:            r.Load,
-		AvgLatency:      r.AvgLatency,
-		P50:             r.P50,
-		P99:             r.P99,
-		Accepted:        r.Accepted,
-		MisroutedGlobal: r.MisroutedGlobal,
-		MisroutedLocal:  r.MisroutedLocal,
-		AvgHops:         r.AvgHops,
-		UtilLocal:       r.UtilLocal,
-		UtilGlobal:      r.UtilGlobal,
-		OverflowFrac:    r.OverflowFrac,
-		Delivered:       r.Delivered,
-		Seeds:           r.Seeds,
-		CIHalfLatency:   r.CIHalfLatency,
-		CIHalfAccepted:  r.CIHalfAccepted,
-		MeasuredCycles:  r.MeasuredCycles,
-		WarmupCycles:    r.WarmupCycles,
-		Saturated:       r.Saturated,
-		Converged:       r.Converged,
-		Marked:          r.Marked,
-		Notified:        r.Notified,
-		Throttled:       r.Throttled,
-		Shed:            r.Shed,
-		Dropped:         r.Dropped,
-		Retried:         r.Retried,
-		Unroutable:      r.Unroutable,
-	}
-}
+// SteadyResult reports a steady-state measurement. It is an alias of
+// the simulation layer's result type (cbar/internal/sim.SteadyResult),
+// where each field is documented; README.md's "Result fields" section
+// lists them.
+type SteadyResult = sim.SteadyResult
 
 // RunSteady measures latency and throughput at one offered load
 // (phits/(node·cycle), in [0,1]).
@@ -183,11 +88,7 @@ func RunSteady(c Config, t Traffic, load float64, opt SteadyOptions) (SteadyResu
 	if err != nil {
 		return SteadyResult{}, err
 	}
-	r, err := sim.RunSteadyBudget(sc, t.inner, load, opt.budget(c))
-	if err != nil {
-		return SteadyResult{}, err
-	}
-	return fromSimSteady(r), nil
+	return sim.RunSteady(sc, t.inner, load, opt.budget(c))
 }
 
 // Sweep measures a whole load grid. Every (load, seed) point of the
@@ -195,22 +96,11 @@ func RunSteady(c Config, t Traffic, load float64, opt SteadyOptions) (SteadyResu
 // sweep of L loads no longer fans out into L independent seed pools.
 // The returned slice is ordered like loads.
 func Sweep(c Config, t Traffic, loads []float64, opt SteadyOptions) ([]SteadyResult, error) {
-	if len(loads) == 0 {
-		return nil, fmt.Errorf("cbar: empty load grid")
-	}
 	sc, err := c.internal()
 	if err != nil {
 		return nil, err
 	}
-	rs, err := sim.SweepSteadyBudget(sc, t.inner, loads, opt.budget(c))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SteadyResult, len(rs))
-	for i, r := range rs {
-		out[i] = fromSimSteady(r)
-	}
-	return out, nil
+	return sim.SweepSteady(sc, t.inner, loads, opt.budget(c))
 }
 
 // TransientOptions sizes a traffic-switch experiment.
@@ -227,43 +117,37 @@ type TransientOptions struct {
 	Seeds int
 }
 
-// withDefaults fills zero-valued windows from the scale defaults.
+// budget resolves zero-valued windows from the scale defaults.
 // Explicitly negative values pass through so the simulation layer's
 // validation rejects them with a clear error instead of silently
 // substituting a default.
-func (o TransientOptions) withDefaults(c Config) TransientOptions {
+func (o TransientOptions) budget(c Config) sim.Budget {
 	def := sim.DefaultBudget(scaleOf(c))
-	if o.Warmup == 0 {
-		o.Warmup = def.TransientWarmup
+	b := sim.Budget{TransientWarmup: o.Warmup, Pre: o.Pre, Post: o.Post, Bucket: o.Bucket, Seeds: o.Seeds}
+	if b.TransientWarmup == 0 {
+		b.TransientWarmup = def.TransientWarmup
 	}
-	if o.Pre == 0 {
-		o.Pre = def.Pre
+	if b.Pre == 0 {
+		b.Pre = def.Pre
 	}
-	if o.Post == 0 {
-		o.Post = def.Post
+	if b.Post == 0 {
+		b.Post = def.Post
 	}
-	if o.Bucket == 0 {
-		o.Bucket = def.Bucket
+	if b.Bucket == 0 {
+		b.Bucket = def.Bucket
 	}
-	if o.Seeds == 0 {
-		o.Seeds = def.Seeds
+	if b.Seeds == 0 {
+		b.Seeds = def.Seeds
 	}
-	return o
+	return b
 }
 
-// TransientResult is a traced response to a traffic-pattern switch.
-type TransientResult struct {
-	// Algo names the traced mechanism (Algorithm.String form).
-	Algo string
-	// Times are bucket centers in cycles relative to the switch
-	// (negative = before).
-	Times []int64
-	// Latency is the mean latency of packets delivered in each bucket.
-	Latency []float64
-	// MisroutedPct is the percentage (0-100) of packets delivered in
-	// each bucket that had taken a nonminimal global hop.
-	MisroutedPct []float64
-}
+// TransientResult is a traced response to a traffic-pattern switch. It
+// is an alias of the simulation layer's trace type
+// (cbar/internal/sim.TransientResult), where each field is documented:
+// the mechanism name, the bucket width, and per-bucket centers (cycles
+// relative to the switch), mean latency and misrouted percentage.
+type TransientResult = sim.TransientResult
 
 // RunTransient warms the network under `before`, switches to `after` at
 // t=0 and traces per-bucket delivery latency and misrouted percentage
@@ -273,18 +157,7 @@ func RunTransient(c Config, before, after Traffic, load float64, opt TransientOp
 	if err != nil {
 		return TransientResult{}, err
 	}
-	opt = opt.withDefaults(c)
-	r, err := sim.RunTransient(sc, before.inner, after.inner, load,
-		opt.Warmup, opt.Pre, opt.Post, opt.Bucket, opt.Seeds)
-	if err != nil {
-		return TransientResult{}, err
-	}
-	return TransientResult{
-		Algo:         r.Algo,
-		Times:        r.Times,
-		Latency:      r.Latency,
-		MisroutedPct: r.MisroutedPct,
-	}, nil
+	return sim.RunTransient(sc, before.inner, after.inner, load, opt.budget(c))
 }
 
 // ExperimentIDs lists the paper's reproducible tables and figures —
@@ -315,14 +188,6 @@ func ExperimentTitle(id string) (string, error) {
 		return "", fmt.Errorf("cbar: unknown experiment %q", id)
 	}
 	return e.Title, nil
-}
-
-// RunExperiment regenerates one of the paper's tables or figures at the
-// given scale, writing CSV (with a leading comment line) to w. Seeds and
-// windows follow the scale's default budget; pass seeds > 0 to override
-// the repeat count.
-func RunExperiment(id string, s Scale, seeds int, w io.Writer) error {
-	return RunExperimentOpts(id, s, ExperimentOptions{Seeds: seeds}, w)
 }
 
 // ExperimentOptions overrides parts of an experiment's scale-default
@@ -359,8 +224,11 @@ type ExperimentOptions struct {
 	Ctx context.Context
 }
 
-// RunExperimentOpts is RunExperiment with budget overrides.
-func RunExperimentOpts(id string, s Scale, opt ExperimentOptions, w io.Writer) error {
+// RunExperiment regenerates one of the paper's tables or figures at the
+// given scale, writing CSV (with a leading comment line) to w. Seeds
+// and windows follow the scale's default budget; opt overrides parts of
+// it (the zero value keeps every default).
+func RunExperiment(id string, s Scale, opt ExperimentOptions, w io.Writer) error {
 	e, ok := sim.FindExperiment(id)
 	if !ok {
 		return fmt.Errorf("cbar: unknown experiment %q (have %v)", id, ExperimentIDs())
